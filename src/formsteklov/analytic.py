@@ -192,6 +192,3 @@ def integrate_volume(spec, integrand, tol=_TOL):
 def boundary_measure(spec):
     return integrate_boundary(spec, lambda pts, nrm: np.ones(len(pts)))
 
-
-def volume_measure(spec):
-    return integrate_volume(spec, lambda pts: np.ones(len(pts)))

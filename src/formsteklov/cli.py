@@ -8,7 +8,6 @@ parameters, 3 solver failure, 4 verification FAIL.
 import argparse
 import csv
 import json
-import os
 import sys
 
 from . import mesh, steklov, verify
@@ -51,17 +50,7 @@ def _resolved_config(args) -> dict:
     cfg = {k: v for k, v in sorted(vars(args).items())
            if k not in ("func",) and v is not None}
     cfg["deterministic"] = bool(getattr(args, "deterministic", False))
-    cfg["jobs"] = _jobs(args)
     return cfg
-
-
-def _jobs(args) -> int:
-    if getattr(args, "deterministic", False):
-        return 1
-    if getattr(args, "jobs", None):
-        return args.jobs
-    env = os.environ.get("FORMSTEKLOV_JOBS")
-    return int(env) if env else 1
 
 
 def cmd_gen(args) -> int:
@@ -195,8 +184,7 @@ def cmd_verify(args) -> int:
         levels = verify.default_levels(spec)
     ids = args.checks.split(",") if args.checks else None
     lab = verify.Lab()
-    report = verify.run_suite([spec], levels=levels, ids=ids, lab=lab,
-                              jobs=_jobs(args))
+    report = verify.run_suite([spec], levels=levels, ids=ids, lab=lab)
     payload = {"config": _resolved_config(args), **report.to_json()}
     prefix = args.report or "verify_report"
     with open(prefix + ".json", "w", encoding="utf-8") as f:
@@ -217,11 +205,9 @@ def build_parser():
         prog="formsteklov",
         description="Steklov spectra of differential forms on benchmark "
                     "domains and verification of their sharp bounds")
-    ap.add_argument("--jobs", type=int, default=None,
-                    help="parallel check evaluation (default: "
-                         "FORMSTEKLOV_JOBS or serial)")
     ap.add_argument("--deterministic", action="store_true",
-                    help="force serial, bit-reproducible execution")
+                    help="accepted for compatibility; every run is serial "
+                         "and bit-reproducible")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a mesh file")

@@ -9,7 +9,6 @@ operators built downstream are exact integers.
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -19,29 +18,6 @@ from .errors import DegenerateSimplexError
 from .forms import FormField
 from .mesh import BoundaryComplex, SimplicialComplex
 from .quadrature import simplex_rule, simplex_rule_positive
-
-
-@dataclass
-class Cochain:
-    """Coefficient vector of a discrete p-form.
-
-    The carrier says which complex the coefficients index: the volume
-    complex or its boundary.  Solvers work on the raw arrays; this wrapper
-    carries the bookkeeping for results handed across module boundaries.
-    """
-
-    degree: int
-    carrier: str                 # "volume" or "boundary"
-    coefficients: np.ndarray
-
-    def validate(self, K: SimplicialComplex) -> "Cochain":
-        target = K if self.carrier == "volume" else K.boundary_complex()
-        n = target.n_simplices(self.degree)
-        if len(self.coefficients) != n:
-            raise ValueError(
-                f"cochain length {len(self.coefficients)} does not match "
-                f"{n} {self.carrier} simplices of degree {self.degree}")
-        return self
 
 
 def barycentric_gradients(K: SimplicialComplex):
@@ -78,12 +54,8 @@ def _batched_minor_det(g, rows, cols):
     return np.linalg.det(sub)
 
 
-def mass_matrix(K: SimplicialComplex, p: int, lumped: bool = False):
-    """Whitney p-form mass matrix (symmetric positive definite).
-
-    With ``lumped=True`` returns the diagonal of row sums instead; all
-    diagonal entries must come out positive.
-    """
+def mass_matrix(K: SimplicialComplex, p: int):
+    """Whitney p-form mass matrix (symmetric positive definite)."""
     if not 0 <= p <= K.dim:
         raise ValueError(f"degree {p} out of range")
     k = K.dim
@@ -120,11 +92,6 @@ def mass_matrix(K: SimplicialComplex, p: int, lumped: bool = False):
     n = K.n_simplices(p)
     M = sparse.coo_matrix((signed.reshape(len(vols), -1).ravel(), (rows, cols)),
                           shape=(n, n)).tocsr()
-    if lumped:
-        d = np.asarray(M.sum(axis=1)).ravel()
-        if np.any(d <= 0):
-            raise DegenerateSimplexError("non-positive lumped mass entry")
-        return sparse.diags(d).tocsr()
     return M
 
 
@@ -144,9 +111,9 @@ def tangential_trace(K: SimplicialComplex, p: int):
     return T.tocsr()
 
 
-def boundary_mass(bc: BoundaryComplex, p: int, lumped: bool = False):
+def boundary_mass(bc: BoundaryComplex, p: int):
     """Whitney mass matrix of the boundary complex (intrinsic metric)."""
-    return mass_matrix(bc, p, lumped=lumped)
+    return mass_matrix(bc, p)
 
 
 def whitney_values(grads_elem, lam, dofs, vectors):
@@ -240,38 +207,33 @@ def _boundary_quadrature(K: SimplicialComplex):
     return parents, grads, lam, sqrtw, nrm, tang
 
 
-def _trace_sample_factor(K: SimplicialComplex, degree: int, with_normal: bool):
-    """Factor matrix sampling boundary traces of Whitney forms.
+def normal_trace_factor(K: SimplicialComplex, q: int):
+    """Sparse factor G with G^T G the boundary normal-trace energy of
+    Whitney q-forms: x^T (G^T G) x = integral over the boundary of
+    |i_N(interpolated x)|^2, by exact per-face degree-2 quadrature.
 
     Rows run over (tangent-frame tuple, quadrature point, boundary face) and
-    carry sqrt of the quadrature weight; the sampled quantity is the form
-    evaluated on (normal, tangent tuple) when ``with_normal`` (the normal
-    trace of a ``degree``-form) or on the tangent tuple alone (the
-    tangential trace of a ``degree``-form, one degree lower in the tuple
-    count convention of the caller)."""
+    carry sqrt of the quadrature weight; the sampled quantity is the q-form
+    evaluated on (normal, tangent tuple)."""
+    if not 1 <= q <= K.dim:
+        raise ValueError(f"degree {q} out of range")
     d = K.dim
     nb = len(K.boundary_faces)
-    n = K.n_simplices(degree)
+    n = K.n_simplices(q)
     if nb == 0:
         return sparse.csr_matrix((0, n))
     parents, grads, lam, sqrtw, nrm, tang = _boundary_quadrature(K)
     npq = lam.shape[1]
-    n_tup = degree - 1 if with_normal else degree
-    tuples = list(itertools.combinations(range(d - 1), n_tup))
-    dofs = list(itertools.combinations(range(d + 1), degree + 1))
-    gidx = K.faces_of_top[degree][parents]
-    gsgn = K.face_signs_of_top[degree][parents].astype(float)
+    tuples = list(itertools.combinations(range(d - 1), q - 1))
+    dofs = list(itertools.combinations(range(d + 1), q + 1))
+    gidx = K.faces_of_top[q][parents]
+    gsgn = K.face_signs_of_top[q][parents].astype(float)
 
     rows_i, cols_i, vals = [], [], []
     row0 = 0
     for tup in tuples:
-        frames = [tang[:, (t,), :] for t in tup]
-        if with_normal:
-            frames = [nrm[:, None, :]] + frames
-        if frames:
-            vectors = np.concatenate(frames, axis=1)
-        else:
-            vectors = np.zeros((nb, 0, d))
+        vectors = np.concatenate(
+            [nrm[:, None, :]] + [tang[:, (t,), :] for t in tup], axis=1)
         vals_b = whitney_values(grads, lam, dofs, vectors)   # (nb, npq, ndof)
         vals_b = vals_b * sqrtw[:, :, None] * gsgn[:, None, :]
         for k in range(npq):
@@ -283,27 +245,6 @@ def _trace_sample_factor(K: SimplicialComplex, degree: int, with_normal: bool):
         (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
         shape=(row0, n))
     return G.tocsr()
-
-
-def normal_trace_factor(K: SimplicialComplex, q: int):
-    """Sparse factor G with G^T G the boundary normal-trace energy of
-    Whitney q-forms: x^T (G^T G) x = integral over the boundary of
-    |i_N(interpolated x)|^2, by exact per-face degree-2 quadrature."""
-    if not 1 <= q <= K.dim:
-        raise ValueError(f"degree {q} out of range")
-    return _trace_sample_factor(K, q, with_normal=True)
-
-
-def trace_pairing(K: SimplicialComplex, q: int):
-    """Boundary pairing R with tau^T R w = integral over the boundary of
-    <J* tau, i_N(W w)> for (q-1)-cochains tau and q-cochains w.
-
-    Used as the boundary correction of the weak codifferential when the
-    normal trace is the data (integration by parts with the inner normal:
-    <sigma, tau> = <w, d tau> + R pairing)."""
-    G_nor = _trace_sample_factor(K, q, with_normal=True)
-    G_tan = _trace_sample_factor(K, q - 1, with_normal=False)
-    return (G_tan.T @ G_nor).tocsr()
 
 
 def normal_trace_form(K: SimplicialComplex, q: int):

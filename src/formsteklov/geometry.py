@@ -28,19 +28,6 @@ class GeometryReport:
     sigma: tuple               # lowest p-curvature bounds, p = 1..n
     H: float                   # mean-curvature lower bound sigma[n]/n
     convex: bool
-    bochner_lower_bound: float = 0.0   # flat ambient space
-
-    def to_json(self):
-        return {
-            "n": self.n,
-            "vol_omega": self.vol_omega,
-            "vol_sigma": self.vol_sigma,
-            "iso_ratio": self.iso_ratio,
-            "sigma": list(self.sigma),
-            "H": self.H,
-            "convex": self.convex,
-            "bochner_lower_bound": self.bochner_lower_bound,
-        }
 
 
 def measures(K: SimplicialComplex):
@@ -157,67 +144,3 @@ def analytic_geometry(spec: DomainSpec) -> GeometryReport:
         # flat faces; edge/corner non-smoothness accepted, bounds degenerate
         return GeometryReport(2, vol, area, area / vol, (0.0, 0.0), 0.0, True)
     raise InvalidDomainError(fam)
-
-
-@dataclass
-class GateResult:
-    satisfied: bool
-    reason: str | None = None
-
-
-def hypothesis_gate(report: GeometryReport, check_id: str,
-                    degree: int | None = None, betti=None) -> GateResult:
-    """Evaluate the curvature/convexity/cohomology hypotheses of one
-    registered check (Euclidean ambient makes the curvature-term and Ricci
-    hypotheses automatic)."""
-    n = report.n
-
-    def sig(p):
-        return report.sigma[p - 1]
-
-    if check_id in ("CHK-LOW-A", "CHK-LOW-B"):
-        if degree is None:
-            raise ValueError("degree required")
-        if sig(degree) <= 0:
-            return GateResult(False, f"sigma_{degree} = {sig(degree):g} "
-                              "not strictly positive")
-        return GateResult(True)
-    if check_id == "CHK-EQ1":
-        if report.H < 0:
-            return GateResult(False, f"H = {report.H:g} < 0")
-        return GateResult(True)
-    if check_id == "CHK-MONO":
-        if not report.convex:
-            return GateResult(False, f"sigma_1 = {report.sigma[0]:g} < 0")
-        return GateResult(True)
-    if check_id == "CHK-ISO-PAIR":
-        if betti is None or degree is None:
-            raise ValueError("betti and degree required")
-        if degree == 0:   # linear-function variant gates on relative H^1
-            if betti[n] != 0:
-                return GateResult(False, f"b_{n} = {betti[n]} != 0")
-            return GateResult(True)
-        if betti[degree] != 0 or betti[n + 1 - degree] != 0:
-            return GateResult(False, "cohomology-vanishing hypothesis fails")
-        return GateResult(True)
-    if check_id == "CHK-HODGE":
-        if betti is None or degree is None:
-            raise ValueError("betti and degree required")
-        if betti[n + 1 - degree] != 0:
-            return GateResult(False, f"b_{n + 1 - degree} != 0")
-        if min(sig(degree), sig(n - degree + 1)) < 0:
-            return GateResult(False, "p-curvature sign hypothesis fails")
-        return GateResult(True)
-    if check_id == "CHK-ESC":
-        if report.sigma[0] <= 0:
-            return GateResult(False, f"sigma_1 = {report.sigma[0]:g} "
-                              "not strictly positive")
-        return GateResult(True)
-    if check_id == "CHK-BIH":
-        if report.H < 0:
-            return GateResult(False, f"H = {report.H:g} < 0")
-        return GateResult(True)
-    if check_id in ("CHK-SYM/PSD", "CHK-KER", "CHK-DUAL", "CHK-CONS",
-                    "CHK-ISO-N", "CHK-FIELD", "CHK-MV", "CHK-BALL"):
-        return GateResult(True)
-    raise InvalidDomainError(f"unknown check id {check_id!r}")

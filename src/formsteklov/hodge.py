@@ -59,7 +59,3 @@ def boundary_spectrum(K: mesh.SimplicialComplex, k: int = 12) -> BoundarySpectru
     return BoundarySpectrum(eigenvalues=vals, lambda1=lam1,
                             form_table=table, n_components=n_comp)
 
-
-def form_eigen_table(K: mesh.SimplicialComplex, k: int = 12) -> dict:
-    """lambda'_{1,p} for p = 1..n via the scalar reduction."""
-    return boundary_spectrum(K, k=k).form_table

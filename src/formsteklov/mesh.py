@@ -300,7 +300,6 @@ class BoundaryComplex(SimplicialComplex):
             tops[flip] = np.concatenate(
                 [tops[flip, :-2], tops[flip, -1:], tops[flip, -2:-1]], axis=1)
         sc = cls(d - 1, K.vertices[used], tops, check_orientation=False)
-        sc.vertex_parent = used
         parent_index = [None] * d
         parent_sign = [None] * d
         for k in range(d - 1):

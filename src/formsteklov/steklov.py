@@ -8,12 +8,13 @@ reduced matrix is the discrete Dirichlet-to-Neumann operator: symmetric,
 positive semidefinite, with kernel dimension equal to the Betti number
 of the domain in that degree.
 
-Dual problem (normal boundary data): the same energy one degree up, with
-all tangential boundary DOFs constrained to zero, against the boundary
-normal-trace quadratic form N = G^T G.  Finite eigenvalues of the pencil
-(A, N) are recovered from the largest eigenvalues of G (A + s N)^{-1} G^T,
-which is the Schur-type reduction of the shifted energy onto the range
-of N (exact also where N is rank-deficient on its support).
+Dual problem (normal boundary data): the same energy one degree up
+(q = p + 1), with the tangential boundary q-DOFs constrained to zero,
+as the bordered mixed system  P = [[-M, C_W^T], [C_W, K]]  over the
+(q-1)-form mixed variable sigma and the free q-DOFs W.  The normal trace
+enters as a boundary p-cochain through the load  E = Tr^T MS  on sigma;
+the reduced matrix  -E^T (P^{-1})_{sigma sigma} E  (one solve per
+boundary DOF) is paired with the boundary p-form mass MS.
 """
 
 from dataclasses import dataclass
@@ -34,7 +35,6 @@ class DtnAssembly:
     """Blocks of the mixed energy form at one degree."""
 
     degree: int
-    K: mesh.SimplicialComplex
     M_sigma: object          # (p-1)-form mass, None for p = 0
     C: object                # M_p D_{p-1}, None for p = 0
     K_stiff: object          # D_p^T M_{p+1} D_p
@@ -42,7 +42,6 @@ class DtnAssembly:
     MS: object               # boundary mass in boundary ordering
     boundary_dofs: np.ndarray
     boundary_signs: np.ndarray
-    lumped_sigma: bool = False
 
 
 @dataclass
@@ -57,7 +56,6 @@ class SpectrumResult:
     gap_ratio: float
     residuals: np.ndarray
     level: int | None = None
-    carrier: str = "boundary"
     sym_defect: float = 0.0
 
     def to_json(self) -> dict:
@@ -71,8 +69,7 @@ class SpectrumResult:
         }
 
 
-def assemble_primal(K: mesh.SimplicialComplex, p: int,
-                    lumped_sigma: bool = False) -> DtnAssembly:
+def assemble_primal(K: mesh.SimplicialComplex, p: int) -> DtnAssembly:
     """Assemble the mixed energy blocks for boundary degree p (0..dim-1)."""
     if not 0 <= p <= K.dim - 1:
         raise ValueError(f"boundary degree {p} out of range")
@@ -84,16 +81,15 @@ def assemble_primal(K: mesh.SimplicialComplex, p: int,
     if p == 0:
         M_sigma, C = None, None
     else:
-        M_sigma = feec.mass_matrix(K, p - 1, lumped=lumped_sigma)
+        M_sigma = feec.mass_matrix(K, p - 1)
         C = (M_p @ mesh.coboundary(K, p - 1).astype(float)).tocsr()
     Tr = feec.tangential_trace(K, p)
     MS = feec.boundary_mass(bc, p)
     B_sigma = (Tr.T @ MS @ Tr).tocsr()
     return DtnAssembly(
-        degree=p, K=K, M_sigma=M_sigma, C=C, K_stiff=K_stiff,
+        degree=p, M_sigma=M_sigma, C=C, K_stiff=K_stiff,
         B_sigma=B_sigma, MS=MS,
-        boundary_dofs=bc.parent_index[p], boundary_signs=bc.parent_sign[p],
-        lumped_sigma=lumped_sigma)
+        boundary_dofs=bc.parent_index[p], boundary_signs=bc.parent_sign[p])
 
 
 def _check_factor(lu, what: str):
@@ -113,8 +109,7 @@ def dtn_matrix(asm: DtnAssembly):
     boundary mass, both in the boundary-complex ordering.
 
     One sparse factorization of the interior mixed block, one solve per
-    boundary DOF.  The independent column solves may run concurrently; the
-    result does not depend on their scheduling.
+    boundary DOF.
     """
     p = asm.degree
     n_u = asm.K_stiff.shape[0]
@@ -181,7 +176,7 @@ def spectrum(lam: np.ndarray, B: np.ndarray, k: int,
     return SpectrumResult(
         degree=degree, dual=dual, eigenvalues=vals, eigencochains=vecs,
         kernel_dim=kd, gap_ratio=gap, residuals=res, level=level,
-        carrier="boundary", sym_defect=sym_defect)
+        sym_defect=sym_defect)
 
 
 def _kernel_count(vals: np.ndarray, threshold: float):
@@ -209,8 +204,8 @@ def kernel_dimension(res: SpectrumResult, threshold: float = 1e-9) -> int:
 
 
 def solve_primal(K: mesh.SimplicialComplex, p: int, k: int = 8,
-                 level=None, lumped_sigma: bool = False) -> SpectrumResult:
-    asm = assemble_primal(K, p, lumped_sigma=lumped_sigma)
+                 level=None) -> SpectrumResult:
+    asm = assemble_primal(K, p)
     lam, B = dtn_matrix(asm)
     return spectrum(lam, B, k, degree=p, level=level)
 

@@ -10,7 +10,6 @@ comparisons and strictness that cannot be certified numerically).
 """
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -198,28 +197,30 @@ def mu_levels(spec: mesh.DomainSpec):
     return [2, 3, 4]
 
 
+def _eigen_study(quantity, levels, vals, in_kernel):
+    """(value, error bar, study) of one eigenvalue sweep: a kernel
+    eigenvalue is exactly zero, with the largest computed magnitude as its
+    error bar; any other is Richardson-extrapolated."""
+    if in_kernel:
+        study = ConvergenceStudy(quantity, list(levels), vals, None, 0.0,
+                                 float(max(abs(v) for v in vals)),
+                                 note="kernel eigenvalue")
+        return 0.0, study.error_bar, study
+    study = richardson(levels, vals, quantity)
+    return study.extrapolated, study.error_bar, study
+
+
 class Lab:
     """Memoizing provider of meshes, spectra and derived quantities."""
 
     def __init__(self, k_eigen: int = 8):
         self.k_eigen = k_eigen
         self._cache = {}
-        self._locks = {}
-        self._master = threading.Lock()
 
     def _get(self, key, fn):
-        with self._master:
-            if key in self._cache:
-                return self._cache[key]
-            lock = self._locks.setdefault(key, threading.Lock())
-        with lock:
-            with self._master:
-                if key in self._cache:
-                    return self._cache[key]
-            val = fn()
-            with self._master:
-                self._cache[key] = val
-            return val
+        if key not in self._cache:
+            self._cache[key] = fn()
+        return self._cache[key]
 
     # -- raw objects ------------------------------------------------------
 
@@ -276,31 +277,17 @@ class Lab:
 
         Eigenvalues inside the kernel (index < Betti number) are exact
         zeros of the discrete operator and are returned as such."""
-        n_b = self.betti(spec)[p]
-        if index < n_b:
-            vals = [float(self.primal(spec, l, p).eigenvalues[index])
-                    for l in levels]
-            study = ConvergenceStudy(f"nu[{index + 1},{p}]({spec.label()})",
-                                     list(levels), vals, None, 0.0,
-                                     float(max(abs(v) for v in vals)),
-                                     note="kernel eigenvalue")
-            return 0.0, study.error_bar, study
         vals = [float(self.primal(spec, l, p).eigenvalues[index]) for l in levels]
-        study = richardson(levels, vals, f"nu[{index + 1},{p}]({spec.label()})")
-        return study.extrapolated, study.error_bar, study
+        return _eigen_study(f"nu[{index + 1},{p}]({spec.label()})", levels,
+                            vals, index < self.betti(spec)[p])
 
     def nu_dual(self, spec, levels, p, index=0):
+        """Dual counterpart of ``nu``; its kernel is the Betti number of
+        the complementary degree n - p."""
         vals = [float(self.dual(spec, l, p).eigenvalues[index]) for l in levels]
         n = spec.dim - 1
-        n_b = self.betti(spec)[n - p]
-        if index < n_b:
-            study = ConvergenceStudy(f"nuD[{index + 1},{p}]({spec.label()})",
-                                     list(levels), vals, None, 0.0,
-                                     float(max(abs(v) for v in vals)),
-                                     note="kernel eigenvalue")
-            return 0.0, study.error_bar, study
-        study = richardson(levels, vals, f"nuD[{index + 1},{p}]({spec.label()})")
-        return study.extrapolated, study.error_bar, study
+        return _eigen_study(f"nuD[{index + 1},{p}]({spec.label()})", levels,
+                            vals, index < self.betti(spec)[n - p])
 
     def lambda1(self, spec, levels):
         vals = [self.lambda1_level(spec, l) for l in levels]
@@ -325,10 +312,6 @@ class Lab:
 
 def _tol(*error_bars_with_coefs):
     return max(1e-6, 3.0 * sum(abs(c) * e for e, c in error_bars_with_coefs))
-
-
-def _gate(ok, reason):
-    return ("satisfied", None) if ok else (f"violated: {reason}", reason)
 
 
 def _skip(check_id, spec, case, reason):
@@ -757,24 +740,15 @@ def run_check(check_id, spec, levels=None, lab=None):
     return fn(lab, spec, levels)
 
 
-def run_suite(specs, levels=None, ids=None, lab=None, jobs=1) -> VerificationReport:
+def run_suite(specs, levels=None, ids=None, lab=None) -> VerificationReport:
     """Run checks over a domain list; report rows ordered by
-    (domain, check id, case) regardless of scheduling."""
+    (domain, check id, case)."""
     ids = ids or check_ids()
     lab = lab or Lab()
-    tasks = [(spec, cid) for spec in specs for cid in ids]
-
-    def run_one(task):
-        spec, cid = task
+    runs = []
+    for spec in specs:
         lv = levels or default_levels(spec)
-        return run_check(cid, spec, levels=lv, lab=lab)
-
-    if jobs and jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_one, tasks))
-    else:
-        results = [run_one(t) for t in tasks]
-    runs = [r for sub in results for r in sub]
+        for cid in ids:
+            runs += run_check(cid, spec, levels=lv, lab=lab)
     runs.sort(key=lambda r: (r.domain, r.check_id, r.case))
     return VerificationReport(runs=runs)

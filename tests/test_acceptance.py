@@ -236,7 +236,8 @@ def test_criterion_8_harmonic_domain(lab):
         "the inscribed polytope has a genuine edge-layer variation decaying "
         "like h*log(1/h); measured defects 0.091/0.069/0.042/0.024 at "
         "levels 2-5 and 0.0123 at level 6 (2.1M tetrahedra), so <= 1e-2 "
-        "needs ~1e7 cells, beyond desk scale.  See notes/decisions.md.  "
+        "needs ~1e7 cells, beyond desk scale.  See README's 'Install and "
+        "test' note and demos/06_harmonic_domains.py.  "
         f"Sub-clause failures: {problems}")
 
 

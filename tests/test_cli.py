@@ -110,34 +110,11 @@ def test_verify_outputs_deterministic(tmp_path, monkeypatch):
             "--checks", "CHK-KER,CHK-SYM/PSD"]
     assert cli.main(["--deterministic"] + args + ["--report", "a"]) == 0
     assert cli.main(["--deterministic"] + args + ["--report", "b"]) == 0
-    ja = json.loads((tmp_path / "a.json").read_text())
-    jb = json.loads((tmp_path / "b.json").read_text())
-    ja["config"].pop("report"), jb["config"].pop("report")
-    assert ja == jb
+    # the flag is accepted but selects nothing: every run is serial
+    assert cli.main(args + ["--report", "c"]) == 0
+    ja, jb, jc = (json.loads((tmp_path / f"{x}.json").read_text())
+                  for x in "abc")
+    for j in (ja, jb, jc):
+        del j["config"]["report"], j["config"]["deterministic"]
+    assert ja == jb == jc
 
-
-def test_parallel_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    base = ["verify", "--domain", "annulus", "--levels", "0", "1", "2",
-            "--checks", "CHK-KER,CHK-CONS"]
-    assert cli.main(["--deterministic"] + base + ["--report", "ser"]) == 0
-    assert cli.main(["--jobs", "2"] + base + ["--report", "par"]) == 0
-    js = json.loads((tmp_path / "ser.json").read_text())
-    jp = json.loads((tmp_path / "par.json").read_text())
-    for rs, rp in zip(js["runs"], jp["runs"]):
-        assert rs["check_id"] == rp["check_id"] and rs["case"] == rp["case"]
-        for key in ("lhs", "rhs", "margin"):
-            a, b = rs[key], rp[key]
-            if a is None or b is None:
-                assert a == b
-            else:
-                assert abs(a - b) <= 1e-12 * max(1.0, abs(a))
-
-
-def test_jobs_env_default(monkeypatch):
-    monkeypatch.setenv("FORMSTEKLOV_JOBS", "3")
-    ap = cli.build_parser()
-    args = ap.parse_args(["verify", "--domain", "disk"])
-    assert cli._jobs(args) == 3
-    args = ap.parse_args(["--deterministic", "verify", "--domain", "disk"])
-    assert cli._jobs(args) == 1

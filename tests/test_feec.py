@@ -20,9 +20,6 @@ def test_p0_mass_single_triangle():
     A = 1.0
     M = feec.mass_matrix(K, 0).toarray()
     assert np.allclose(M, A / 12 * np.array([[2, 1, 1], [1, 2, 1], [1, 1, 2]]))
-    L = feec.mass_matrix(K, 0, lumped=True).toarray()
-    assert np.allclose(L, np.eye(3) * A / 3)
-    assert np.isclose(L.sum(), A)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
@@ -31,18 +28,6 @@ def test_mass_spd(spec):
     for p in range(K.dim + 1):
         M = feec.mass_matrix(K, p).toarray()
         cholesky(M)  # raises if not SPD
-    # scalar lumping is the documented speed option and stays positive
-    lumped = feec.mass_matrix(K, 0, lumped=True)
-    assert lumped.diagonal().min() > 0
-
-
-def test_lumped_mass_rejects_nonpositive_rows():
-    # higher-degree row sums can lose positivity on obtuse elements; the
-    # contract is to reject, not to return an indefinite diagonal
-    from formsteklov.errors import DegenerateSimplexError
-    K = mesh.generate(mesh.ball(1))
-    with pytest.raises(DegenerateSimplexError):
-        feec.mass_matrix(K, 2, lumped=True)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=lambda s: s.label())
@@ -63,14 +48,6 @@ def test_constant_form_energy_exact(spec):
         x = feec.interpolate(K, xi, p)
         M = feec.mass_matrix(K, p)
         assert np.isclose(x @ (M @ x), vol * nsq, rtol=1e-12, atol=1e-12)
-
-
-def test_cochain_validation():
-    K = mesh.generate(mesh.disk(1))
-    c = feec.Cochain(1, "volume", np.zeros(K.n_simplices(1)))
-    assert c.validate(K) is c
-    with pytest.raises(ValueError):
-        feec.Cochain(1, "boundary", np.zeros(3)).validate(K)
 
 
 def test_partition_of_unity():

@@ -88,17 +88,3 @@ def test_sigma_superadditivity():
         assert g.sigma[1] >= g.sigma[0] + g.sigma[0] - 1e-9
 
 
-def test_hypothesis_gate():
-    ann = geometry.analytic_geometry(mesh.annulus(0.5, 1, 0))
-    ball = geometry.analytic_geometry(mesh.ball(0))
-    assert geometry.hypothesis_gate(ball, "CHK-LOW-B", degree=2).satisfied
-    r = geometry.hypothesis_gate(ann, "CHK-LOW-A", degree=1)
-    assert not r.satisfied and "sigma_1" in r.reason
-    r = geometry.hypothesis_gate(ann, "CHK-ISO-PAIR", degree=0,
-                                 betti=(1, 1, 0))
-    assert not r.satisfied
-    assert geometry.hypothesis_gate(ball, "CHK-ISO-PAIR", degree=2,
-                                    betti=(1, 0, 0, 0)).satisfied
-    assert geometry.hypothesis_gate(ann, "CHK-CONS").satisfied
-    with pytest.raises(Exception):
-        geometry.hypothesis_gate(ball, "CHK-NOPE")

@@ -93,14 +93,6 @@ def test_kernel_ambiguity_flagged():
         steklov.kernel_dimension(r, threshold=1e-10)
 
 
-def test_lumped_sigma_option_close_to_consistent():
-    K = mesh.generate(mesh.disk(3))
-    r_full = steklov.solve_primal(K, 1, k=3)
-    r_lump = steklov.solve_primal(K, 1, k=3, lumped_sigma=True)
-    rel = np.abs(r_full.eigenvalues - r_lump.eigenvalues) / r_full.eigenvalues
-    assert rel.max() < 0.01
-
-
 def test_scaling_law_radius():
     """Eigenvalues of the scaled domain scale like one over the radius."""
     K = mesh.generate(mesh.disk(3))
