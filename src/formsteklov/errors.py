@@ -28,12 +28,7 @@ class DegenerateSimplexError(FormSteklovError):
 
 class SingularSystemError(FormSteklovError):
     """A linear system that the contract guarantees to be invertible is
-    numerically singular.  Carries the offending near-null vector when one
-    is available."""
-
-    def __init__(self, message, near_null=None):
-        super().__init__(message)
-        self.near_null = near_null
+    numerically singular."""
 
 
 class QuadratureError(FormSteklovError):
@@ -46,3 +41,8 @@ class UnknownCheckError(FormSteklovError):
 
 class AmbiguousKernelError(FormSteklovError):
     """No clear spectral gap separates near-zero eigenvalues from the rest."""
+
+
+class ConvergenceError(FormSteklovError):
+    """An iterative eigensolver did not converge, or its eigenpairs miss
+    the residual tolerance."""

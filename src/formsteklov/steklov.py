@@ -1,20 +1,25 @@
 """Discrete Dirichlet-to-Neumann eigenproblems for differential forms.
 
-Primal problem (tangential boundary data, degree p of the boundary):
-the energy  |d u|^2 + |delta_h u|^2  of Whitney p-forms on the volume,
-with the codifferential realized weakly through a mixed variable, is
-Schur-reduced onto the tangential boundary degrees of freedom.  The
-reduced matrix is the discrete Dirichlet-to-Neumann operator: symmetric,
-positive semidefinite, with kernel dimension equal to the Betti number
-of the domain in that degree.
+Primal problem (tangential boundary data, degree p of the boundary): the
+energy  |d u|^2 + |delta_h u|^2  of Whitney p-forms on the volume, with the
+codifferential realized weakly through a mixed variable sigma.  Its Schur
+complement onto the tangential boundary DOFs is the discrete operator:
+symmetric, positive semidefinite, with kernel dimension equal to the Betti
+number of the domain in that degree.  It is never formed; its eigenpairs
+are the finite eigenpairs of the volume pencil
+    A = [[-M_sigma, C^T], [C, K]],   B = R^T MS R   (R: signed boundary rows).
 
 Dual problem (normal boundary data): the same energy one degree up
-(q = p + 1), with the tangential boundary q-DOFs constrained to zero,
-as the bordered mixed system  P = [[-M, C_W^T], [C_W, K]]  over the
-(q-1)-form mixed variable sigma and the free q-DOFs W.  The normal trace
-enters as a boundary p-cochain through the load  E = Tr^T MS  on sigma;
-the reduced matrix  -E^T (P^{-1})_{sigma sigma} E  (one solve per
-boundary DOF) is paired with the boundary p-form mass MS.
+(q = p + 1) over sigma and the free q-DOFs W (tangential boundary q-DOFs
+zeroed), bordered by the normal-trace cochain g through E = Tr^T MS:
+    A = [[-M, C_W^T, E], [C_W, K, 0], [E^T, 0, 0]],   B = diag(0, 0, MS),
+so that eliminating (sigma, W) leaves  -E^T (P^{-1})_{sigma sigma} E g =
+nu MS g  with  P = [[-M, C_W^T], [C_W, K]].
+
+Both pencils share one eigen-core: one sparse LU of A + B (shift -1,
+nonsingular whenever the interior block is) drives shift-invert Lanczos
+in the semi-inner product of B (Lehoucq, Sorensen & Yang, ARPACK Users'
+Guide, 1998).
 """
 
 from dataclasses import dataclass
@@ -22,12 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.linalg import eigh
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                 LinearOperator, eigsh, splu)
 
 from . import feec, mesh
-from .errors import SingularSystemError, AmbiguousKernelError
+from .errors import (AmbiguousKernelError, ConvergenceError,
+                     SingularSystemError)
 
-_CHUNK = 512
+_SHIFT = -1.0
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -38,15 +46,15 @@ class DtnAssembly:
     M_sigma: object          # (p-1)-form mass, None for p = 0
     C: object                # M_p D_{p-1}, None for p = 0
     K_stiff: object          # D_p^T M_{p+1} D_p
-    B_sigma: object          # Tr^T M^Sigma Tr (boundary mass on volume DOFs)
     MS: object               # boundary mass in boundary ordering
-    boundary_dofs: np.ndarray
-    boundary_signs: np.ndarray
+    Tr: object               # signed boundary rows of the volume p-DOFs
 
 
 @dataclass
 class SpectrumResult:
-    """Lowest eigenvalues of one Dirichlet-to-Neumann problem."""
+    """Lowest eigenvalues of one Dirichlet-to-Neumann problem, with the
+    work that produced them: pencil size n, boundary size nb, factor fill
+    nnz(L) + nnz(U) and the number of triangular solves."""
 
     degree: int
     dual: bool
@@ -57,6 +65,10 @@ class SpectrumResult:
     residuals: np.ndarray
     level: int | None = None
     sym_defect: float = 0.0
+    n: int = 0
+    nb: int = 0
+    fill: int = 0
+    solves: int = 0
 
     def to_json(self) -> dict:
         return {
@@ -66,117 +78,111 @@ class SpectrumResult:
             "eigenvalues": [float(v) for v in self.eigenvalues],
             "kernel_dim": int(self.kernel_dim),
             "residuals": [float(r) for r in self.residuals],
+            "n": int(self.n),
+            "nb": int(self.nb),
+            "fill": int(self.fill),
+            "solves": int(self.solves),
         }
+
+
+def _stiffness(K: mesh.SimplicialComplex, q: int):
+    """D_q^T M_{q+1} D_q; zero at the top degree."""
+    if q == K.dim:
+        return sparse.csr_matrix((K.n_simplices(q),) * 2)
+    D = mesh.coboundary(K, q).astype(float)
+    return (D.T @ feec.mass_matrix(K, q + 1) @ D).tocsr()
+
+
+def _coupling(K: mesh.SimplicialComplex, q: int):
+    """M_q D_{q-1}: the weak codifferential of a q-form against the
+    (q-1)-form mixed variable."""
+    return (feec.mass_matrix(K, q)
+            @ mesh.coboundary(K, q - 1).astype(float)).tocsr()
 
 
 def assemble_primal(K: mesh.SimplicialComplex, p: int) -> DtnAssembly:
     """Assemble the mixed energy blocks for boundary degree p (0..dim-1)."""
     if not 0 <= p <= K.dim - 1:
         raise ValueError(f"boundary degree {p} out of range")
-    bc = K.boundary_complex()
-    M_p = feec.mass_matrix(K, p)
-    D_p = mesh.coboundary(K, p).astype(float)
-    M_up = feec.mass_matrix(K, p + 1)
-    K_stiff = (D_p.T @ M_up @ D_p).tocsr()
-    if p == 0:
-        M_sigma, C = None, None
-    else:
-        M_sigma = feec.mass_matrix(K, p - 1)
-        C = (M_p @ mesh.coboundary(K, p - 1).astype(float)).tocsr()
-    Tr = feec.tangential_trace(K, p)
-    MS = feec.boundary_mass(bc, p)
-    B_sigma = (Tr.T @ MS @ Tr).tocsr()
+    M_sigma, C = ((None, None) if p == 0
+                  else (feec.mass_matrix(K, p - 1), _coupling(K, p)))
     return DtnAssembly(
-        degree=p, M_sigma=M_sigma, C=C, K_stiff=K_stiff,
-        B_sigma=B_sigma, MS=MS,
-        boundary_dofs=bc.parent_index[p], boundary_signs=bc.parent_sign[p])
+        degree=p, M_sigma=M_sigma, C=C, K_stiff=_stiffness(K, p),
+        MS=feec.boundary_mass(K.boundary_complex(), p),
+        Tr=feec.tangential_trace(K, p))
 
 
-def _check_factor(lu, what: str):
-    du = np.abs(lu.U.diagonal())
-    if len(du) == 0:
-        return
-    if du.min() <= 1e-13 * max(du.max(), 1.0):
-        n = lu.shape[0]
-        rng = np.random.default_rng(0)
-        v = lu.solve(rng.normal(size=n))
-        v /= np.linalg.norm(v)
-        raise SingularSystemError(f"singular {what} block", near_null=v)
+def _pencil_spectrum(A, R, MS, k, degree, level=None,
+                     dual=False) -> SpectrumResult:
+    """Lowest k eigenpairs of the sparse pencil  A x = nu B x,  B = R^T MS R.
 
-
-def dtn_matrix(asm: DtnAssembly):
-    """Dense symmetric Dirichlet-to-Neumann matrix on boundary DOFs plus the
-    boundary mass, both in the boundary-complex ordering.
-
-    One sparse factorization of the interior mixed block, one solve per
-    boundary DOF.
+    R (nb x n) selects the signed boundary rows.  One LU of the shifted
+    matrix A - _SHIFT B serves every solve.  The eigencochains are g = R x
+    in the boundary ordering, normalized to g^T MS g = 1.  Raises
+    ConvergenceError when Lanczos fails or a relative residual
+    ||A x - nu B x|| / ((||A|| + |nu| ||B||) ||x||) (infinity norms)
+    exceeds _RESIDUAL_TOL, SingularSystemError when the factor is singular.
     """
-    p = asm.degree
-    n_u = asm.K_stiff.shape[0]
-    b = asm.boundary_dofs
-    s = asm.boundary_signs.astype(float)
-    nb = len(b)
-    mask = np.ones(n_u, dtype=bool)
-    mask[b] = False
-    i = np.flatnonzero(mask)
+    A, R = A.tocsr(), R.tocsr()
+    B = (R.T @ MS @ R).tocsr()
+    n, nb = A.shape[0], R.shape[0]
+    k = min(k, nb)
+    what = f"degree {degree}{' dual' if dual else ''} at level {level}"
+    sym_defect = abs(A - A.T).max() / max(abs(A).max(), 1e-300)
+    try:
+        lu = splu((A - _SHIFT * B).tocsc())
+    except RuntimeError as exc:          # an exactly zero pivot
+        raise SingularSystemError(f"singular pencil of {what}") from exc
+    du = np.abs(lu.U.diagonal())
+    if du.min() <= 1e-13 * max(du.max(), 1.0):
+        raise SingularSystemError(f"singular pencil of {what}")
+    solves = 0
 
-    Kst = asm.K_stiff
-    if p == 0:
-        P = Kst[np.ix_(i, i)].tocsc()
-        rhs_top = None
+    def solve(rhs):
+        nonlocal solves
+        solves += 1 if rhs.ndim == 1 else rhs.shape[1]
+        return lu.solve(rhs)
+
+    if k >= nb - 1:
+        # the B semi-inner product sees only nb directions, too few for a
+        # Lanczos basis: nb solves give T = R (A - _SHIFT B)^{-1} R^T, and
+        # MS T MS g = theta MS g  with  nu = _SHIFT + 1/theta
+        X = solve(R.T.toarray())
+        MSd = MS.toarray()
+        theta, G = eigh(MSd @ (R @ X) @ MSd, MSd)
+        keep = np.argsort(-np.abs(theta), kind="stable")[:k]
+        vals = _SHIFT + 1.0 / theta[keep]
+        X = X @ (MSd @ G[:, keep]) * (vals - _SHIFT)
     else:
-        C = asm.C
-        P = sparse.bmat(
-            [[-asm.M_sigma, C[i, :].T], [C[i, :], Kst[np.ix_(i, i)]]],
-            format="csc")
-        rhs_top = -(C[b, :].T.multiply(s[None, :])).tocsc()  # n_sigma x nb
-    if P.shape[0] == 0:
-        lam = Kst[np.ix_(b, b)].toarray() * s[None, :] * s[:, None]
-        return lam, asm.MS.toarray()
-    lu = splu(P)
-    _check_factor(lu, "interior")
-
-    K_ib = (Kst[np.ix_(i, b)].multiply(s[None, :])).tocsc()
-    K_bb = Kst[np.ix_(b, b)].toarray() * s[None, :] * s[:, None]
-    C_b = None if p == 0 else asm.C[b, :].tocsr()
-
-    lam = np.empty((nb, nb))
-    for lo in range(0, nb, _CHUNK):
-        hi = min(lo + _CHUNK, nb)
-        if p == 0:
-            rhs = -K_ib[:, lo:hi].toarray()
-            sol_u = lu.solve(rhs)
-            cols = K_bb[:, lo:hi] + (s[:, None] * (Kst[np.ix_(b, i)] @ sol_u))
-        else:
-            rhs = np.vstack([rhs_top[:, lo:hi].toarray(),
-                             -K_ib[:, lo:hi].toarray()])
-            sol = lu.solve(rhs)
-            n_sig = asm.M_sigma.shape[0]
-            sig, u_i = sol[:n_sig], sol[n_sig:]
-            cols = (K_bb[:, lo:hi]
-                    + s[:, None] * (Kst[np.ix_(b, i)] @ u_i)
-                    + s[:, None] * (C_b @ sig))
-        lam[:, lo:hi] = cols
-    return lam, asm.MS.toarray()
-
-
-def spectrum(lam: np.ndarray, B: np.ndarray, k: int,
-             degree: int = 0, level=None, dual: bool = False,
-             kernel_threshold: float = 1e-9) -> SpectrumResult:
-    """First k eigenpairs of the reduced pencil (dense symmetric solve)."""
-    k = min(k, lam.shape[0])
-    scale = float(np.abs(lam).max())
-    sym_defect = float(np.abs(lam - lam.T).max()) / max(scale, 1e-300)
-    lam_sym = 0.5 * (lam + lam.T)
-    vals, vecs = eigh(lam_sym, B, subset_by_index=[0, k - 1])
-    fro = np.linalg.norm(lam_sym, "fro")
-    res = np.linalg.norm(lam_sym @ vecs - B @ vecs * vals[None, :], axis=0)
-    res = res / max(fro, 1e-300)
-    kd, gap = _kernel_count(vals, kernel_threshold)
+        op = LinearOperator((n, n), matvec=solve, dtype=float)
+        v0 = np.random.default_rng(0).normal(size=n)
+        try:
+            # a basis wider than nb, the rank of B, breaks down in ARPACK
+            vals, X = eigsh(A, k, M=B, sigma=_SHIFT, OPinv=op, v0=v0,
+                            ncv=min(max(2 * k + 1, 20), nb))
+        except (ArpackNoConvergence, ArpackError) as exc:
+            raise ConvergenceError(
+                f"Lanczos failed for {what}: {exc}") from exc
+        # one purifying solve removes the null(B) components that the
+        # semi-inner product cannot see
+        X = solve(B @ X) * (vals - _SHIFT)
+    order = np.argsort(vals, kind="stable")
+    vals, X = vals[order], X[:, order]
+    X /= np.sqrt(np.einsum("ij,ij->j", X, B @ X))[None, :]
+    r = A @ X - (B @ X) * vals[None, :]
+    norm_A, norm_B = (float(abs(M).sum(axis=1).max()) for M in (A, B))
+    res = (np.abs(r).max(axis=0)
+           / ((norm_A + np.abs(vals) * norm_B) * np.abs(X).max(axis=0)))
+    if res.max() > _RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"eigenpairs of {what} not converged: relative residual "
+            f"{res.max():.2e} > {_RESIDUAL_TOL:.0e}")
+    kd, gap = _kernel_count(vals, 1e-9)
     return SpectrumResult(
-        degree=degree, dual=dual, eigenvalues=vals, eigencochains=vecs,
+        degree=degree, dual=dual, eigenvalues=vals, eigencochains=R @ X,
         kernel_dim=kd, gap_ratio=gap, residuals=res, level=level,
-        sym_defect=sym_defect)
+        sym_defect=float(sym_defect), n=n, nb=nb,
+        fill=int(lu.L.nnz + lu.U.nnz), solves=solves)
 
 
 def _kernel_count(vals: np.ndarray, threshold: float):
@@ -206,8 +212,12 @@ def kernel_dimension(res: SpectrumResult, threshold: float = 1e-9) -> int:
 def solve_primal(K: mesh.SimplicialComplex, p: int, k: int = 8,
                  level=None) -> SpectrumResult:
     asm = assemble_primal(K, p)
-    lam, B = dtn_matrix(asm)
-    return spectrum(lam, B, k, degree=p, level=level)
+    A, R = asm.K_stiff, asm.Tr
+    if p > 0:
+        n_sig = asm.M_sigma.shape[0]
+        A = sparse.bmat([[-asm.M_sigma, asm.C.T], [asm.C, A]])
+        R = sparse.hstack([sparse.csr_matrix((R.shape[0], n_sig)), R])
+    return _pencil_spectrum(A, R, asm.MS, k, degree=p, level=level)
 
 
 def dual_spectrum(K: mesh.SimplicialComplex, p: int, k: int = 8,
@@ -217,46 +227,25 @@ def dual_spectrum(K: mesh.SimplicialComplex, p: int, k: int = 8,
     The extension one degree up (q = p + 1) carries the essential
     constraint (tangential boundary DOFs of degree q zeroed); the normal
     trace enters as an unknown boundary p-cochain g through the
-    integration-by-parts pairing  <sigma, tau> = <w, d tau> + <J* tau, g>,
-    and the energy is Schur-reduced onto g.  The reduced pencil has the
-    boundary p-form mass as its (SPD) right-hand side, mirroring the
-    primal construction.
+    integration-by-parts pairing  <sigma, tau> = <w, d tau> + <J* tau, g>.
+    The bordered pencil over (sigma, W, g) has the boundary p-form mass
+    as the (SPD) block of its right-hand side, mirroring the primal
+    construction.
     """
     if not 0 <= p <= K.dim - 1:
         raise ValueError(f"boundary degree {p} out of range")
     q = p + 1
-    n_q = K.n_simplices(q)
-    free_q = np.ones(n_q, dtype=bool)
+    free_q = np.ones(K.n_simplices(q), dtype=bool)
     if q <= K.dim - 1:
         free_q[K.boundary_simplices[q]] = False
     W = np.flatnonzero(free_q)
-
-    bc = K.boundary_complex()
-    M_sig = feec.mass_matrix(K, q - 1).tocsc()
-    C = (feec.mass_matrix(K, q) @ mesh.coboundary(K, q - 1).astype(float))
-    C_W = C[W, :].tocsr()
-    if q <= K.dim - 1:
-        D_q = mesh.coboundary(K, q).astype(float)
-        Kst = (D_q.T @ feec.mass_matrix(K, q + 1) @ D_q)[np.ix_(W, W)].tocsr()
-    else:
-        Kst = sparse.csr_matrix((len(W), len(W)))
-    Tr = feec.tangential_trace(K, q - 1)
-    MS = feec.boundary_mass(bc, q - 1)
-    E = (Tr.T @ MS).tocsc()                    # n_{q-1} x n_Sigma
-
-    P = sparse.bmat([[-M_sig, C_W.T], [C_W, Kst]], format="csc")
-    lu = splu(P)
-    _check_factor(lu, "dual extension")
-
-    n_sig = M_sig.shape[0]
+    C_W = _coupling(K, q)[W, :]
+    MS = feec.boundary_mass(K.boundary_complex(), p)
+    E = (feec.tangential_trace(K, p).T @ MS).tocsr()    # n_p x nb
+    A = sparse.bmat([[-feec.mass_matrix(K, p), C_W.T, E],
+                     [C_W, _stiffness(K, q)[np.ix_(W, W)], None],
+                     [E.T, None, None]])
     nb = E.shape[1]
-    lam = np.empty((nb, nb))
-    for lo in range(0, nb, _CHUNK):
-        hi = min(lo + _CHUNK, nb)
-        rhs = np.vstack([-E[:, lo:hi].toarray(),
-                         np.zeros((len(W), hi - lo))])
-        sol = lu.solve(rhs)
-        sig = sol[:n_sig]
-        lam[:, lo:hi] = MS @ (Tr @ sig)
-    res = spectrum(lam, MS.toarray(), k, degree=p, level=level, dual=True)
-    return res
+    R = sparse.hstack([sparse.csr_matrix((nb, A.shape[0] - nb)),
+                       sparse.identity(nb)])
+    return _pencil_spectrum(A, R, MS, k, degree=p, level=level, dual=True)

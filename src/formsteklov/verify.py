@@ -211,7 +211,8 @@ def _eigen_study(quantity, levels, vals, in_kernel):
 
 
 class Lab:
-    """Memoizing provider of meshes, spectra and derived quantities."""
+    """Memoizing provider of meshes, spectra and derived quantities, keyed
+    on the exact domain parameters (never on the rounded report label)."""
 
     def __init__(self, k_eigen: int = 8):
         self.k_eigen = k_eigen
@@ -225,50 +226,51 @@ class Lab:
     # -- raw objects ------------------------------------------------------
 
     def mesh(self, spec, level):
-        return self._get(("mesh", spec.label(), level),
+        return self._get(("mesh", spec.family, spec.params, level),
                          lambda: mesh.generate(spec.with_level(level)))
 
     def betti(self, spec):
-        return self._get(("betti", spec.label()),
+        return self._get(("betti", spec.family, spec.params),
                          lambda: mesh.betti(self.mesh(spec, 0)))
 
     def geometry(self, spec):
-        return self._get(("geom", spec.label()),
+        return self._get(("geom", spec.family, spec.params),
                          lambda: geometry.analytic_geometry(spec))
 
     def primal(self, spec, level, p) -> steklov.SpectrumResult:
         return self._get(
-            ("primal", spec.label(), level, p),
+            ("primal", spec.family, spec.params, level, p),
             lambda: steklov.solve_primal(self.mesh(spec, level), p,
                                          k=self.k_eigen, level=level))
 
     def dual(self, spec, level, p) -> steklov.SpectrumResult:
         return self._get(
-            ("dual", spec.label(), level, p),
+            ("dual", spec.family, spec.params, level, p),
             lambda: steklov.dual_spectrum(self.mesh(spec, level), p,
                                           k=self.k_eigen, level=level))
 
     def exit_time(self, spec, level) -> scalar.ExitTimeResult:
-        return self._get(("exit", spec.label(), level),
+        return self._get(("exit", spec.family, spec.params, level),
                          lambda: scalar.mean_exit_time(self.mesh(spec, level)))
 
     def mv_gap(self, spec, level) -> float:
-        return self._get(("mvgap", spec.label(), level),
+        return self._get(("mvgap", spec.family, spec.params, level),
                          lambda: scalar.mean_value_gap(self.mesh(spec, level)))
 
     def mu(self, spec, level) -> float:
         return self._get(
-            ("mu", spec.label(), level),
+            ("mu", spec.family, spec.params, level),
             lambda: float(scalar.biharmonic_spectrum(self.mesh(spec, level), 1)[0]))
 
     def lambda1_level(self, spec, level) -> float:
         return self._get(
-            ("lam1", spec.label(), level),
+            ("lam1", spec.family, spec.params, level),
             lambda: hodge.boundary_spectrum(self.mesh(spec, level), 8).lambda1)
 
     def field_norm(self, spec, key, fieldfn, what) -> float:
-        return self._get(("fieldnorm", spec.label(), key, what),
-                         lambda: feec.integrate_analytic(spec, fieldfn(), what))
+        return self._get(
+            ("fieldnorm", spec.family, spec.params, key, what),
+            lambda: feec.integrate_analytic(spec, fieldfn(), what))
 
     # -- extrapolated quantities -------------------------------------------
 
@@ -321,21 +323,26 @@ def _skip(check_id, spec, case, reason):
 
 
 def _chk_sym_psd(lab, spec, levels):
+    """Symmetry of the sparse primal pencil and the sign of its lowest
+    Lanczos eigenvalue, reported with that pair's residual (the eigen-core
+    rejects residuals above 1e-8)."""
     n = spec.dim - 1
-    worst_sym, worst_psd = 0.0, 0.0
+    worst_sym, worst_psd, worst_res = 0.0, 0.0, 0.0
     for level in levels:
         for p in range(n + 1):
             r = lab.primal(spec, level, p)
             worst_sym = max(worst_sym, r.sym_defect)
             scale = max(1.0, float(abs(r.eigenvalues[-1])))
             worst_psd = max(worst_psd, max(0.0, -float(r.eigenvalues[0])) / scale)
+            worst_res = max(worst_res, float(r.residuals[0]))
     ok = worst_sym <= 1e-10 and worst_psd <= 1e-8
     return [CheckResult(
         "CHK-SYM/PSD", spec.label(), "all degrees/levels", "satisfied",
         worst_sym, 1e-10, 1e-10 - worst_sym, 0.0,
         PASS if ok else FAIL,
         notes=f"max symmetry defect {worst_sym:.2e}, "
-              f"max negative part {worst_psd:.2e}")]
+              f"max negative part {worst_psd:.2e}, "
+              f"max lowest-pair residual {worst_res:.2e}")]
 
 
 def _chk_ker(lab, spec, levels):

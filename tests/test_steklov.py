@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from formsteklov import feec, mesh, steklov
-from formsteklov.errors import AmbiguousKernelError
+import dense_oracle
+from formsteklov import cli, feec, mesh, steklov
+from formsteklov.errors import (AmbiguousKernelError, ConvergenceError,
+                               SingularSystemError)
 
 
 def disk_steklov_oracle(count):
@@ -53,11 +56,12 @@ def test_assembly_bookkeeping_disk_p1():
 def test_dtn_symmetry_and_psd():
     for spec, p in ((mesh.disk(2), 1), (mesh.ball(1), 2)):
         K = mesh.generate(spec)
-        asm = steklov.assemble_primal(K, p)
-        lam, B = steklov.dtn_matrix(asm)
-        scale = np.abs(lam).max()
-        assert np.abs(lam - lam.T).max() <= 1e-10 * scale
-        r = steklov.spectrum(lam, B, 5, degree=p)
+        lam, B = dense_oracle.dtn_matrix(K, p)
+        vals, sym, _ = dense_oracle.spectrum(lam, B, 5)
+        assert sym <= 1e-10
+        assert vals[0] > -1e-8 * max(1.0, vals[-1])
+        r = steklov.solve_primal(K, p, k=5)
+        assert r.sym_defect <= 1e-10
         assert r.eigenvalues[0] > -1e-8 * max(1.0, r.eigenvalues[-1])
 
 
@@ -134,3 +138,128 @@ def test_spectrum_result_json():
     assert d["degree"] == 0 and d["dual"] is False and d["level"] == 1
     assert len(d["eigenvalues"]) == 3 and len(d["residuals"]) == 3
     assert d["kernel_dim"] == 1
+    assert d["n"] == K.n_simplices(0) and d["nb"] == 16
+    assert d["fill"] > 0 and d["solves"] > 0
+
+
+# -- the sparse shift-invert path against the dense Schur reduction ---------
+
+ORACLE_CASES = [
+    spec.with_level(level)
+    for spec, levels in ((mesh.disk(), (0, 2)),
+                         (mesh.ellipse(1, 0.7), (0, 2)),
+                         (mesh.annulus(0.5, 1), (0, 2)),
+                         (mesh.ball(), (0, 1)),
+                         (mesh.ellipsoid(1, 0.8, 0.7), (0, 1)),
+                         (mesh.shell(0.5, 1), (0,)),
+                         (mesh.box(1.03, 0.94, 1.07), (0, 1)))
+    for level in levels]
+
+
+def _assert_matches_oracle(K, p, dual, k=8):
+    solver = steklov.dual_spectrum if dual else steklov.solve_primal
+    r = solver(K, p, k=k)
+    reduce = dense_oracle.dual_matrix if dual else dense_oracle.dtn_matrix
+    lam, B = reduce(K, p)
+    vals, _, kd = dense_oracle.spectrum(lam, B, k)
+    tol = 1e-10 * max(1.0, abs(vals[-1]))
+    assert np.abs(r.eigenvalues - vals).max() <= tol, (p, dual)
+    assert r.kernel_dim == kd, (p, dual)
+    assert r.nb == B.shape[0] and r.eigencochains.shape == (r.nb, len(vals))
+    return r, lam, B
+
+
+@pytest.mark.parametrize(
+    "spec", ORACLE_CASES, ids=lambda s: f"{s.label()}-l{s.level}")
+def test_sparse_spectrum_matches_dense_oracle(spec):
+    K = mesh.generate(spec)
+    for dual in (False, True):
+        for p in range(K.dim):
+            _assert_matches_oracle(K, p, dual)
+
+
+def test_small_boundary_caps_lanczos_basis():
+    """nb <= 20 is below ARPACK's default basis of 20 vectors: the basis is
+    capped at nb, and k >= nb - 1 takes the exact nb-solve path."""
+    K = mesh.generate(mesh.ball(0))            # nb = 6, 12, 8
+    for p, exact in ((0, True), (1, False), (2, True)):
+        r, _, _ = _assert_matches_oracle(K, p, dual=False)
+        assert (r.solves == r.nb) == exact
+    K = mesh.generate(mesh.ball(1))            # nb = 18 for p = 0
+    r, _, _ = _assert_matches_oracle(K, 0, dual=True)
+    assert r.nb == 18
+
+
+def test_seeded_start_finds_both_copies_of_double_eigenvalue():
+    """A constant start vector misses one copy of this pair."""
+    K = mesh.generate(mesh.ball(2))
+    r, _, _ = _assert_matches_oracle(K, 2, dual=True)
+    assert np.sum(np.abs(r.eigenvalues - 2.067849) < 1e-5) == 2
+
+
+def test_purifying_solve_converges_dual_eigenpairs(monkeypatch):
+    """Raw Lanczos vectors of the bordered pencil carry null(B) components
+    many orders above their B-norm of one; after one purifying solve every
+    pair is converged and the boundary cochains solve the dense pencil."""
+    raw = []
+    true_eigsh = steklov.eigsh
+
+    def keep(*args, **kwargs):
+        vals, vecs = true_eigsh(*args, **kwargs)
+        raw.append(np.abs(vecs).max())
+        return vals, vecs
+
+    monkeypatch.setattr(steklov, "eigsh", keep)
+    K = mesh.generate(mesh.ball(1))
+    for p in range(3):
+        r, lam, B = _assert_matches_oracle(K, p, dual=True)
+        assert r.residuals.max() <= 1e-12
+        g = r.eigencochains
+        assert np.allclose(np.einsum("ij,ij->j", g, B @ g), 1.0)
+        defect = lam @ g - B @ g * r.eigenvalues[None, :]
+        assert np.abs(defect).max() <= 1e-9 * np.abs(lam).max()
+    assert max(raw) > 1e6
+
+
+def test_box_level2_needs_fewer_solves_than_boundary_dofs():
+    K = mesh.generate(mesh.box(1, 1, 1, 2))
+    r = steklov.solve_primal(K, 1)
+    assert r.solves < r.nb == 288
+    assert r.fill > 0 and r.n == K.n_simplices(0) + K.n_simplices(1)
+
+
+@pytest.mark.parametrize("exc", [
+    ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
+    ArpackError(-9999)], ids=["no-convergence", "arpack-error"])
+def test_lanczos_failure_is_a_convergence_error(monkeypatch, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(steklov, "eigsh", fail)
+    K = mesh.generate(mesh.disk(2))
+    with pytest.raises(ConvergenceError, match="degree 1 at level 2"):
+        steklov.solve_primal(K, 1, level=2)
+    rc = cli.main(["spectrum", "--domain", "disk", "--level", "2"])
+    assert rc == 3
+    assert "degree 0 at level 2" in capsys.readouterr().err
+
+
+def test_large_residual_is_a_convergence_error(monkeypatch):
+    true_eigsh = steklov.eigsh
+
+    def off(*args, **kwargs):
+        vals, vecs = true_eigsh(*args, **kwargs)
+        return vals + 1e-3, vecs
+
+    monkeypatch.setattr(steklov, "eigsh", off)
+    K = mesh.generate(mesh.disk(2))
+    with pytest.raises(ConvergenceError, match="residual"):
+        steklov.dual_spectrum(K, 0, level=2)
+
+
+def test_singular_shifted_pencil_is_reported():
+    K = mesh.generate(mesh.disk(1))
+    asm = steklov.assemble_primal(K, 0)
+    B = asm.Tr.T @ asm.MS @ asm.Tr
+    with pytest.raises(SingularSystemError, match="degree 0 at level 1"):
+        steklov._pencil_spectrum(-B, asm.Tr, asm.MS, 4, 0, 1)

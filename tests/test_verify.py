@@ -1,6 +1,7 @@
+import numpy as np
 import pytest
 
-from formsteklov import mesh, verify
+from formsteklov import mesh, steklov, verify
 from formsteklov.errors import UnknownCheckError
 
 
@@ -111,3 +112,41 @@ def test_suite_ordering_deterministic():
     assert keys == sorted(keys)
     # the suite's meshes come back from the Lab memo, not rebuilt
     assert lab.mesh(specs[0], 1) is lab.mesh(specs[0], 1)
+
+
+def test_lab_memo_keys_on_exact_parameters():
+    lab = verify.Lab()
+    near = mesh.ellipse(1.0000001, 0.7, 0)
+    far = mesh.ellipse(1.0000004, 0.7, 0)
+    assert near.label() == far.label() == "ellipse(1,0.7)"
+    a, b = lab.mesh(near, 0), lab.mesh(far, 0)
+    assert a is not b
+    assert b.vertices[:, 0].max() == pytest.approx(1.0000004, abs=1e-12)
+
+
+def _sym_psd_of_pencil(monkeypatch, perturb):
+    """CHK-SYM/PSD on one primal pencil of the disk whose A is replaced by
+    perturb(A, B) before it reaches the eigen-core."""
+    K = mesh.generate(mesh.disk(2))
+    asm = steklov.assemble_primal(K, 0)
+    A = perturb(asm.K_stiff.tolil(), asm.Tr.T @ asm.MS @ asm.Tr).tocsr()
+    r = steklov._pencil_spectrum(A, asm.Tr, asm.MS, 8, 0, 2)
+    lab = verify.Lab()
+    monkeypatch.setattr(lab, "primal", lambda spec, level, p: r)
+    (row,) = verify.run_check("CHK-SYM/PSD", mesh.disk(0), levels=[2], lab=lab)
+    return row
+
+
+def test_sym_psd_check_can_fail(monkeypatch):
+    def asymmetric(A, B):
+        i, j = A.nonzero()
+        off = np.flatnonzero(i != j)[0]
+        A[i[off], j[off]] += 1e-9 * abs(A).max()
+        return A
+
+    row = _sym_psd_of_pencil(monkeypatch, lambda A, B: A)
+    assert row.verdict == verify.PASS
+    row = _sym_psd_of_pencil(monkeypatch, asymmetric)
+    assert row.verdict == verify.FAIL and row.lhs > 1e-10
+    row = _sym_psd_of_pencil(monkeypatch, lambda A, B: A - 2.0 * B)
+    assert row.verdict == verify.FAIL and row.lhs <= 1e-10
