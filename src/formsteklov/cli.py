@@ -83,8 +83,10 @@ def cmd_spectrum(args) -> int:
             K = mesh.generate(spec.with_level(level))
             results.append(solver(K, args.degree, k, level=level))
         out["spectra"] = [r.to_json() for r in results]
+        # a coarse level with fewer boundary DOFs than k returns fewer
+        # eigenvalues; study only the indices that every level has
         studies = []
-        for idx in range(k):
+        for idx in range(min(len(r.eigenvalues) for r in results)):
             vals = [float(r.eigenvalues[idx]) for r in results]
             try:
                 studies.append(

@@ -3,7 +3,8 @@
 Deterministic structured generators (no external meshers), uniform
 refinement with boundary snapping, oriented boundary extraction, signed
 incidence (coboundary) matrices, mod-2 Betti numbers, and a plain-text
-file format.
+file format.  Face tables are found by sorting and searching one packed
+int64 key per vertex row, which orders like the rows themselves.
 
 Conventions
 -----------
@@ -121,6 +122,25 @@ def _sort_parity(rows: np.ndarray):
     return np.sort(rows, axis=1), sign
 
 
+def _row_keys(rows: np.ndarray, nv: int) -> np.ndarray:
+    """One int64 key per row of vertex indices in [0, nv):
+    ``(...(r0 * nv + r1) * nv + r2)``.  Keys sort as the rows sort
+    lexicographically; a base too large for int64 raises instead of
+    wrapping."""
+    rows = np.asarray(rows, dtype=np.int64)
+    nv, width = int(nv), rows.shape[1]
+    if nv ** width >= 2 ** 63:
+        raise MeshFormatError(
+            f"{nv} vertices are too many to key rows of width {width} in int64")
+    if rows.size and (rows.min() < 0 or rows.max() >= nv):
+        raise MeshFormatError(f"vertex index out of range [0, {nv})")
+    key = rows[:, 0].copy()
+    for j in range(1, width):
+        key *= nv
+        key += rows[:, j]
+    return key
+
+
 def _signed_volumes(vertices: np.ndarray, tops: np.ndarray) -> np.ndarray:
     """Signed volumes of full-dimensional simplices."""
     d = tops.shape[1] - 1
@@ -179,12 +199,15 @@ class SimplicialComplex:
         self.face_signs_of_top: list = [None] * (self.dim + 1)
         self.simplices[self.dim] = tops
         nloc = self.dim + 1
+        nv = len(self.vertices)
         for k in range(self.dim):
             subsets = list(itertools.combinations(range(nloc), k + 1))
             cols = [tops[:, s] for s in subsets]
             raw = np.concatenate(cols, axis=0)
             srt, sgn = _sort_parity(raw)
-            uniq, inverse = np.unique(srt, axis=0, return_inverse=True)
+            keys, inverse = np.unique(_row_keys(srt, nv), return_inverse=True)
+            uniq = np.empty((len(keys), k + 1), dtype=np.int64)
+            uniq[inverse] = srt
             self.simplices[k] = uniq
             nt = len(tops)
             self.faces_of_top[k] = inverse.reshape(len(subsets), nt).T.copy()
@@ -250,8 +273,7 @@ class SimplicialComplex:
         for k in range(d - 1):
             sub = list(itertools.combinations(range(d), k + 1))
             rows = np.concatenate([bfaces[:, s] for s in sub], axis=0)
-            rows = np.unique(rows, axis=0)
-            bset[k] = _row_lookup(self.simplices[k], rows)
+            bset[k] = np.unique(_row_lookup(self.simplices[k], rows))
         self.boundary_simplices = bset
 
         # boundary of the boundary must be closed
@@ -259,7 +281,8 @@ class SimplicialComplex:
             srt, _ = _sort_parity(
                 np.concatenate([bfaces[:, s]
                                 for s in itertools.combinations(range(d), d - 1)], axis=0))
-            _, cnt = np.unique(srt, axis=0, return_counts=True)
+            _, cnt = np.unique(_row_keys(srt, len(self.vertices)),
+                               return_counts=True)
             if np.any(cnt != 2):
                 raise NonManifoldError("boundary complex is not closed")
 
@@ -271,11 +294,19 @@ class SimplicialComplex:
 
 
 def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Indices of each query row inside a table of unique ascending rows."""
+    """Indices of each query row inside a table of unique rows in
+    lexicographic order; a query row missing from the table raises
+    KeyError."""
     if len(queries) == 0:
         return np.zeros(0, dtype=np.int64)
-    pos = {tuple(r): i for i, r in enumerate(table.tolist())}
-    return np.array([pos[tuple(r)] for r in queries.tolist()], dtype=np.int64)
+    nv = int(max(table.max(), queries.max())) + 1
+    tkeys = _row_keys(table, nv)
+    qkeys = _row_keys(queries, nv)
+    pos = np.minimum(np.searchsorted(tkeys, qkeys), len(tkeys) - 1)
+    missing = np.flatnonzero(tkeys[pos] != qkeys)
+    if len(missing):
+        raise KeyError(f"row {queries[missing[0]].tolist()} not in the table")
+    return pos
 
 
 class BoundaryComplex(SimplicialComplex):

@@ -89,25 +89,21 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
                           defect=float(defect), vol_ratio=vol / area)
 
 
-def _volume_average(K: mesh.SimplicialComplex, f) -> float:
-    """Mesh quadrature (degree 5) of a function over the volume, averaged."""
-    pts_ref, w_ref = simplex_rule(K.dim, 5)
-    v = K.vertices[K.tops]
+def _quadrature_table(C: mesh.SimplicialComplex):
+    """Degree-5 quadrature points of every top simplex of C, flattened to
+    (nt * q, ambient), with the reference weights and the top measures."""
+    pts_ref, w_ref = simplex_rule(C.dim, 5)
+    v = C.vertices[C.tops]
     pts = np.einsum("qk,nkm->nqm", pts_ref[:, 1:], v[:, 1:, :] - v[:, :1, :]) \
         + v[:, :1, :]
-    vols = K.top_volumes()
-    vals = f(pts.reshape(-1, K.dim)).reshape(len(vols), -1)
+    return pts.reshape(-1, C.vertices.shape[1]), w_ref, C.top_volumes()
+
+
+def _average(f, table) -> float:
+    """Mean of f over the mesh whose quadrature table is given."""
+    pts, w_ref, vols = table
+    vals = f(pts).reshape(len(vols), -1)
     return float((vals @ w_ref) @ vols / vols.sum())
-
-
-def _boundary_average(bc, f) -> float:
-    pts_ref, w_ref = simplex_rule(bc.dim, 5)
-    v = bc.vertices[bc.tops]
-    pts = np.einsum("qk,nkm->nqm", pts_ref[:, 1:], v[:, 1:, :] - v[:, :1, :]) \
-        + v[:, :1, :]
-    areas = bc.top_volumes()
-    vals = f(pts.reshape(-1, bc.vertices.shape[1])).reshape(len(areas), -1)
-    return float((vals @ w_ref) @ areas / areas.sum())
 
 
 def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
@@ -119,10 +115,11 @@ def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
     if family is None:
         family = [(name, f) for name, f, _ in harmonic_polynomials(K.dim)]
     bc = K.boundary_complex()
+    volume, boundary = _quadrature_table(K), _quadrature_table(bc)
     worst = 0.0
     for _, f in family:
-        va = _volume_average(K, f)
-        ba = _boundary_average(bc, f)
+        va = _average(f, volume)
+        ba = _average(f, boundary)
         scale = float(np.abs(f(bc.vertices)).max())
         worst = max(worst, abs(va - ba) / max(scale, 1e-300))
     return worst

@@ -78,6 +78,18 @@ def test_spectrum_dual_flag(tmp_path):
     assert abs(lead - 2.0) < 0.05
 
 
+def test_spectrum_sweep_with_short_coarse_level(tmp_path):
+    # ball level 0 has nb = 6 boundary DOFs, so it returns 6 of the 8
+    out = tmp_path / "ball.json"
+    rc = cli.main(["spectrum", "--domain", "ball", "--levels", "0", "1", "2",
+                   "--count", "8", "--out", str(out)])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    assert [len(s["eigenvalues"]) for s in data["spectra"]] == [6, 8, 8]
+    assert [s["quantity"] for s in data["convergence"]] \
+        == [f"eigenvalue[{i}]" for i in range(6)]
+
+
 def test_spectrum_from_mesh_file(tmp_path):
     mfile = tmp_path / "m.smesh"
     mesh.write_mesh(mfile, mesh.generate(mesh.disk(2)))

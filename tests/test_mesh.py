@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+import mesh_oracle
 from formsteklov import mesh
 from formsteklov.errors import (InvalidDomainError, MeshFormatError,
                                 NonManifoldError, OrientationError)
@@ -20,6 +23,42 @@ EXPECTED_BETTI = {
     "shell(0.5,1)": (1, 0, 1, 0),
     "box(1,1,1)": (1, 0, 0, 0),
 }
+
+FAMILY_SPECS = [
+    mesh.disk(), mesh.ellipse(1, 0.7), mesh.annulus(0.5, 1), mesh.ball(),
+    mesh.ellipsoid(1, 0.8, 0.7), mesh.shell(0.5, 1), mesh.box(1, 1, 1),
+]
+LEVEL_SPECS = [s.with_level(l) for s in FAMILY_SPECS for l in range(3)]
+
+# SHA-256 of write_mesh output, recorded before face topology moved to
+# packed integer keys; the meshes must stay byte-identical
+WRITE_MESH_SHA256 = {
+    ("disk", 0): "109f86dd3c4b10f8cda845f9d77f0f0e8595d1cf02a6c38a5b4551280061da05",
+    ("disk", 1): "3aa6f1497b48b1427f9063c4e167dd5c493c0079d43e7d7d5b30924f787de30f",
+    ("disk", 2): "99017195cc119eea834779769a6f7aceed001ac4eb5ac560205b55c109789203",
+    ("ellipse(1,0.7)", 0): "f085bb92b0e5c603af59018259f2711370f917e13a19e111d4e67d30521db334",
+    ("ellipse(1,0.7)", 1): "f2295ef5438c3ee16e4ea4f5c98c9faf340fbb974d72edbb7890a6d3e882a6ea",
+    ("ellipse(1,0.7)", 2): "538902732d28c196c51a397ad17b4fc227642c3207bd2228c54cd553f3430d55",
+    ("annulus(0.5,1)", 0): "6bf60e0a0c34f05bbc891b4a3dd3b5232207a280b96e9665b705ec0990c313eb",
+    ("annulus(0.5,1)", 1): "4fa4103fd399b4b9ad1b98d126f9216591cfae24fd48cb9045aea3559ed8695c",
+    ("annulus(0.5,1)", 2): "8345eb13b3dd9e845e6f47f8a82cde4914d7c26def2b001d7e5cbc920900c23a",
+    ("ball", 0): "beea55798859ffcd0d372c98a7050c61c481712debf3fae841f87832f21fdf90",
+    ("ball", 1): "57536521a52dd4d9b7ead126660fd0fd3cf23ff94aa967b967a455a1c88bb9de",
+    ("ball", 2): "d67d1197f3f37856b56cc5a6ee1033a92f1e24e402d2acdf584afd8e5e8342e8",
+    ("ellipsoid(1,0.8,0.7)", 0): "1749327d4f6ea0c4c34f67d20f41ce31f9f94c49822dbff773d4ec2e791c561f",
+    ("ellipsoid(1,0.8,0.7)", 1): "a5ec9c3744957557e289f5a72eceb266ab3ff2ca7b82cb43a550d7cc538aa905",
+    ("ellipsoid(1,0.8,0.7)", 2): "1f67df5d809e236b35db827a6872d8669ab180606d0339bee30000f13dd0b36d",
+    ("shell(0.5,1)", 0): "fc961c102a4385125f7422229c299685a62d46a7141cafd75ee502ce7d856ddc",
+    ("shell(0.5,1)", 1): "e5f7f1288e0fa3fc30036f3c1c17fa9d4e17d7768049e7cce271453b2a606bb0",
+    ("shell(0.5,1)", 2): "844d99602d7bdb6b25d59e0c8644c10cdbdd3de864e008dded3e07163fd065b9",
+    ("box(1,1,1)", 0): "ab2634ee553c5f4ea36a0b83cd68ccc17f998260c718d5afff0a242045e0ead5",
+    ("box(1,1,1)", 1): "c87cb6a46cc3b96410b746b2a7f45075f6ef1555344c528b29f94acea46a4286",
+    ("box(1,1,1)", 2): "71e350e35614ab9ac508e91e4bb4cc5b97c4700aa57aba78854382c992761c84",
+}
+
+
+def _level_id(spec):
+    return f"{spec.label()}-{spec.level}"
 
 
 def test_domain_spec_validation():
@@ -174,3 +213,68 @@ def test_mesh_io_negative_volume(tmp_path):
     p.write_text("\n".join(lines) + "\n")
     with pytest.raises(OrientationError):
         mesh.read_mesh(p)
+
+
+@pytest.mark.parametrize("spec", LEVEL_SPECS, ids=_level_id)
+def test_write_mesh_bytes_pinned(spec, tmp_path):
+    path = tmp_path / "m.smesh"
+    mesh.write_mesh(path, mesh.generate(spec))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == WRITE_MESH_SHA256[(spec.label(), spec.level)]
+
+
+def _assert_tables_equal(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.dtype == np.int64 and g.shape == w.shape
+        assert (g == w).all()
+
+
+@pytest.mark.parametrize("spec", LEVEL_SPECS, ids=_level_id)
+def test_packed_key_topology_matches_row_oracle(spec):
+    K = mesh.generate(spec)
+    d = K.dim
+    simp, fot, fsgn = mesh_oracle.face_tables(d, K.tops)
+    _assert_tables_equal(K.simplices, simp)
+    _assert_tables_equal(K.faces_of_top, fot)
+    _assert_tables_equal(K.face_signs_of_top, fsgn)
+    faces, signs, bset, closed = mesh_oracle.boundary(d, simp, fot, fsgn)
+    assert closed
+    _assert_tables_equal([K.boundary_faces, K.boundary_signs], [faces, signs])
+    _assert_tables_equal(K.boundary_simplices, bset)
+
+    bc = K.boundary_complex()
+    bsimp, bfot, bfsgn = mesh_oracle.face_tables(d - 1, bc.tops)
+    _assert_tables_equal(bc.simplices, bsimp)
+    _assert_tables_equal(bc.faces_of_top, bfot)
+    _assert_tables_equal(bc.face_signs_of_top, bfsgn)
+    used = np.unique(simp[d - 1][faces])
+    index, sign = mesh_oracle.parent_maps(simp, used, bsimp)
+    _assert_tables_equal(bc.parent_index, index)
+    _assert_tables_equal(bc.parent_sign, sign)
+
+    for C, tables in ((K, simp), (bc, bsimp)):
+        for p in range(C.dim):
+            got, want = mesh.coboundary(C, p), mesh_oracle.coboundary(tables, p)
+            for a in ("indptr", "indices", "data"):
+                g, w = getattr(got, a), getattr(want, a)
+                assert g.dtype == w.dtype and (g == w).all()
+
+
+def test_row_keys_refuse_to_wrap():
+    rows = np.array([[0, 1, 2]])
+    # 2**21 vertices: 2**63 does not fit in int64 for rows of width 3
+    with pytest.raises(MeshFormatError, match="too many"):
+        mesh._row_keys(rows, 2 ** 21)
+    assert mesh._row_keys(rows, 2 ** 21 - 1).tolist() == [(2 ** 21 - 1) + 2]
+    with pytest.raises(MeshFormatError, match="out of range"):
+        mesh._row_keys(np.array([[0, 5]]), 5)
+
+
+def test_row_lookup_finds_rows_and_rejects_missing_ones():
+    table = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
+    assert mesh._row_lookup(table, np.array([[2, 3], [0, 1], [1, 2]])).tolist() \
+        == [3, 0, 2]
+    for missing in ([[0, 3]], [[3, 4]], [[0, 0]]):
+        with pytest.raises(KeyError):
+            mesh._row_lookup(table, np.array(missing))

@@ -60,10 +60,39 @@ def test_mean_value_gap_disk_vs_ellipse():
 def test_mean_value_gap_ellipse_quadratic():
     # avg over the ellipse of x^2 - y^2 is (a^2 - b^2)/4; the boundary
     # average differs, so the gap stays bounded away from zero
-    from formsteklov.scalar import _volume_average
     K = mesh.generate(mesh.ellipse(1, 0.7, 3))
-    va = _volume_average(K, lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2)
+    va = scalar._average(lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2,
+                         scalar._quadrature_table(K))
     assert abs(va - (1 - 0.49) / 4) < 2e-3
+
+
+def _mean_value_gap_per_polynomial(K):
+    """Reference: the quadrature points are rebuilt for every polynomial."""
+    from formsteklov.forms import harmonic_polynomials
+    from formsteklov.quadrature import simplex_rule
+
+    def average(C, f):
+        pts_ref, w_ref = simplex_rule(C.dim, 5)
+        v = C.vertices[C.tops]
+        pts = np.einsum("qk,nkm->nqm", pts_ref[:, 1:],
+                        v[:, 1:, :] - v[:, :1, :]) + v[:, :1, :]
+        vols = C.top_volumes()
+        vals = f(pts.reshape(-1, C.vertices.shape[1])).reshape(len(vols), -1)
+        return float((vals @ w_ref) @ vols / vols.sum())
+
+    bc = K.boundary_complex()
+    worst = 0.0
+    for _, f, _ in harmonic_polynomials(K.dim):
+        gap = abs(average(K, f) - average(bc, f))
+        worst = max(worst, gap / max(float(np.abs(f(bc.vertices)).max()), 1e-300))
+    return worst
+
+
+@pytest.mark.parametrize("spec", [mesh.disk(3), mesh.ellipse(1, 0.7, 3),
+                                  mesh.ball(2)], ids=str)
+def test_mean_value_gap_matches_per_polynomial_reference(spec):
+    K = mesh.generate(spec)
+    assert scalar.mean_value_gap(K) == _mean_value_gap_per_polynomial(K)
 
 
 def test_biharmonic_disk_and_ball():
