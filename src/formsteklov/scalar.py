@@ -24,10 +24,10 @@ flux here is never a pointwise gradient sample.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from . import feec, mesh
 from .errors import SingularSystemError
+from .linalg import symmetric_lu
 from .quadrature import simplex_rule
 
 
@@ -73,13 +73,13 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
         E[interior] = x
     else:
         try:
-            lu = splu(A.tocsc())
+            lu = symmetric_lu(A)
         except RuntimeError as exc:  # pragma: no cover
             raise SingularSystemError(str(exc)) from exc
         E[interior] = lu.solve(load[interior])
     resid = load - stiff @ E
     MS0 = feec.boundary_mass(bc, 0)
-    flux = splu(MS0.tocsc()).solve(resid[bv])
+    flux = symmetric_lu(MS0).solve(resid[bv])
     area = float(np.ones(len(bv)) @ (MS0 @ np.ones(len(bv))))
     vol = float(K.top_volumes().sum())
     mean_flux = float(np.ones(len(bv)) @ (MS0 @ flux)) / area
@@ -108,8 +108,8 @@ def _average(f, table) -> float:
 
 def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
     """Largest relative gap between the volume and boundary averages of a
-    family of harmonic polynomials (default: the standard family of the
-    ambient dimension, degrees up to 4 in the plane and 3 in space)."""
+    family of harmonic polynomials (default: forms.harmonic_polynomials of
+    the ambient dimension)."""
     from .forms import harmonic_polynomials
 
     if family is None:
@@ -133,7 +133,7 @@ def harmonic_extension_gram(K: mesh.SimplicialComplex):
     bv = bc.parent_index[0]
     n = K.n_simplices(0)
     interior = np.setdiff1d(np.arange(n), bv)
-    lu = splu(stiff[np.ix_(interior, interior)].tocsc())
+    lu = symmetric_lu(stiff[np.ix_(interior, interior)])
     nb = len(bv)
     H = np.zeros((n, nb))
     H[bv, np.arange(nb)] = 1.0
@@ -167,9 +167,9 @@ def biharmonic_mu1_mixed_oracle(K: mesh.SimplicialComplex, k: int = 3) -> np.nda
     bv = bc.parent_index[0]
     n = K.n_simplices(0)
     interior = np.setdiff1d(np.arange(n), bv)
-    lu = splu(stiff[np.ix_(interior, interior)].tocsc())
+    lu = symmetric_lu(stiff[np.ix_(interior, interior)])
     MS0 = feec.boundary_mass(bc, 0)
-    lu_ms = splu(MS0.tocsc())
+    lu_ms = symmetric_lu(MS0)
     nb = len(bv)
 
     # flux map F: w -> consistent normal derivative of the Poisson solve

@@ -538,9 +538,11 @@ def _field_samples(spec):
         idx = tuple(range(p))
         samples.append((f"parallel {p}-form",
                         lambda idx=idx: forms.parallel_form(dim, idx), p, True))
-    polys = forms.harmonic_polynomials(dim)
-    chosen = [polys[2], polys[-1]]   # a quadratic and the last listed cubic+
-    for name, _, grads in chosen:
+    grads_of = {name: grads
+                for name, _, grads in forms.harmonic_polynomials(dim)}
+    chosen = ("Re z^2", "Im z^4") if dim == 2 else ("z", "z(2z2-3x2-3y2)")
+    for name in chosen:
+        grads = grads_of[name]
         samples.append((f"d({name})",
                         lambda grads=grads, name=name:
                         forms.gradient_field(dim, grads, name=name), 1, False))

@@ -140,6 +140,9 @@ def test_spectrum_result_json():
     assert d["kernel_dim"] == 1
     assert d["n"] == K.n_simplices(0) and d["nb"] == 16
     assert d["fill"] > 0 and d["solves"] > 0
+    assert d["delta"] == 0.0 and 0.0 <= d["solve_residual"] <= 1e-14
+    r = steklov.dual_spectrum(K, 1, k=3, level=1)    # zero W block
+    assert r.to_json()["delta"] == steklov._DELTA
 
 
 # -- the sparse shift-invert path against the dense Schur reduction ---------
@@ -178,16 +181,43 @@ def test_sparse_spectrum_matches_dense_oracle(spec):
             _assert_matches_oracle(K, p, dual)
 
 
-def test_small_boundary_caps_lanczos_basis():
+def test_small_boundary_caps_lanczos_basis(monkeypatch):
     """nb <= 20 is below ARPACK's default basis of 20 vectors: the basis is
-    capped at nb, and k >= nb - 1 takes the exact nb-solve path."""
+    capped at nb, and k >= nb - 1 takes the exact nb-solve path, which
+    never calls Lanczos."""
+    bases = []
+    true_eigsh = steklov.eigsh
+
+    def record(*args, **kwargs):
+        bases.append(kwargs["ncv"])
+        return true_eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(steklov, "eigsh", record)
     K = mesh.generate(mesh.ball(0))            # nb = 6, 12, 8
     for p, exact in ((0, True), (1, False), (2, True)):
+        bases.clear()
         r, _, _ = _assert_matches_oracle(K, p, dual=False)
-        assert (r.solves == r.nb) == exact
+        assert (not bases) == exact
+        assert all(ncv <= r.nb for ncv in bases)
     K = mesh.generate(mesh.ball(1))            # nb = 18 for p = 0
+    bases.clear()
     r, _, _ = _assert_matches_oracle(K, 0, dual=True)
-    assert r.nb == 18
+    assert r.nb == 18 and bases == [18]
+
+
+def test_shifted_factor_matches_dense_oracle():
+    """On shell level 1 the plain factors of primal p = 2 and dual p = 1
+    show tiny pivots (the top-degree dual of every family takes the shift
+    for its zero diagonal block); with refinement and Rayleigh quotients
+    no trace of the shift is left in the eigenvalues (Lanczos values of
+    the refined factor were 3e-12 off)."""
+    K = mesh.generate(mesh.shell(0.5, 1, 1))
+    for p, dual in ((2, False), (1, True)):
+        r, lam, B = _assert_matches_oracle(K, p, dual)
+        assert r.delta == steklov._DELTA
+        assert r.solve_residual <= steklov._REFINE_TOL
+        vals = dense_oracle.spectrum(lam, B, 8)[0]
+        assert np.abs(r.eigenvalues - vals).max() <= 3e-13 * vals[-1]
 
 
 def test_seeded_start_finds_both_copies_of_double_eigenvalue():
@@ -228,6 +258,17 @@ def test_box_level2_needs_fewer_solves_than_boundary_dofs():
     assert r.fill > 0 and r.n == K.n_simplices(0) + K.n_simplices(1)
 
 
+def test_box_level3_quasi_definite_fill():
+    """The symmetric unpivoted factor holds less than half the fill of the
+    pivoted COLAMD factor it replaced (8.16M and 9.10M), and every solve
+    ends at the backward error of an exact factor."""
+    K = mesh.generate(mesh.box(1, 1, 1, 3))
+    for r, bound in ((steklov.solve_primal(K, 2), 4_000_000),
+                     (steklov.dual_spectrum(K, 1), 5_000_000)):
+        assert 0 < r.fill < bound
+        assert r.solve_residual <= steklov._REFINE_TOL
+
+
 @pytest.mark.parametrize("exc", [
     ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
     ArpackError(-9999)], ids=["no-convergence", "arpack-error"])
@@ -245,11 +286,14 @@ def test_lanczos_failure_is_a_convergence_error(monkeypatch, capsys, exc):
 
 
 def test_large_residual_is_a_convergence_error(monkeypatch):
+    """Eigenvalues come from the Rayleigh quotient of the returned vectors,
+    so the vectors are what goes wrong here: each is mixed with its
+    neighbour, which no eigenvalue can fit."""
     true_eigsh = steklov.eigsh
 
     def off(*args, **kwargs):
         vals, vecs = true_eigsh(*args, **kwargs)
-        return vals + 1e-3, vecs
+        return vals, vecs + 0.1 * np.roll(vecs, 1, axis=1)
 
     monkeypatch.setattr(steklov, "eigsh", off)
     K = mesh.generate(mesh.disk(2))
@@ -263,3 +307,30 @@ def test_singular_shifted_pencil_is_reported():
     B = asm.Tr.T @ asm.MS @ asm.Tr
     with pytest.raises(SingularSystemError, match="degree 0 at level 1"):
         steklov._pencil_spectrum(-B, asm.Tr, asm.MS, 4, 0, 1)
+
+
+def test_nonzero_singular_pencil_is_not_regularized_away():
+    """S = A - _SHIFT B is the scalar stiffness, singular on constants:
+    the diagonal shift makes it factor, and the refinement that cannot
+    converge reports the singularity."""
+    K = mesh.generate(mesh.disk(1))
+    asm = steklov.assemble_primal(K, 0)
+    B = asm.Tr.T @ asm.MS @ asm.Tr
+    with pytest.raises(SingularSystemError,
+                       match="refinement of degree 0 at level 1 stalled"):
+        steklov._pencil_spectrum(asm.K_stiff + steklov._SHIFT * B, asm.Tr,
+                                 asm.MS, 4, 0, 1)
+
+
+def test_stalled_refinement_is_loud(monkeypatch, capsys):
+    """A shift far too large for refinement to undo: the top-degree dual
+    pencil always takes it, and the stall names degree and level."""
+    monkeypatch.setattr(steklov, "_DELTA", 1.0)
+    K = mesh.generate(mesh.disk(2))
+    with pytest.raises(SingularSystemError,
+                       match="refinement of degree 1 dual at level 2 stalled"):
+        steklov.dual_spectrum(K, 1, level=2)
+    rc = cli.main(["spectrum", "--domain", "disk", "--level", "2",
+                   "--degree", "1", "--dual"])
+    assert rc == 3
+    assert "degree 1 dual at level 2" in capsys.readouterr().err

@@ -1,7 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from formsteklov import mesh, steklov, verify
+from formsteklov import forms, mesh, scalar, steklov, verify
 from formsteklov.errors import UnknownCheckError
 
 
@@ -150,3 +152,21 @@ def test_sym_psd_check_can_fail(monkeypatch):
     assert row.verdict == verify.FAIL and row.lhs > 1e-10
     row = _sym_psd_of_pencil(monkeypatch, lambda A, B: A - 2.0 * B)
     assert row.verdict == verify.FAIL and row.lhs <= 1e-10
+
+
+def test_mv_check_can_fail(monkeypatch):
+    """The ball mesh keeps the octahedral symmetry of its base, which
+    averages every harmonic polynomial of degree <= 3 to zero on volume and
+    boundary alike; the cubic invariant of degree 4 does not, so CHK-MV
+    fails once the flux defect that bounds the gap is forced to zero."""
+    spec = mesh.ball(0)
+    monkeypatch.setattr(verify, "scalar_levels", lambda spec: [2])
+    lab = verify.Lab()
+    (row,) = verify.run_check("CHK-MV", spec, levels=[2], lab=lab)
+    assert row.verdict == verify.PASS
+    exact = dataclasses.replace(lab.exit_time(spec, 2), defect=0.0)
+    monkeypatch.setattr(lab, "exit_time", lambda spec, level: exact)
+    (row,) = verify.run_check("CHK-MV", spec, levels=[2], lab=lab)
+    assert row.verdict == verify.FAIL and row.lhs > 1e-3
+    symmetric = [(name, f) for name, f, _ in forms.harmonic_polynomials(3)]
+    assert scalar.mean_value_gap(lab.mesh(spec, 2), symmetric[:-1]) < 1e-12
