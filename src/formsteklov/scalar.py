@@ -16,19 +16,25 @@ to w' ranging over harmonic extensions this reads  R phi = (1/mu) phi in
 L^2 of the boundary, where  <R phi, psi> = <W phi, W psi>_Omega  and W is
 the harmonic extension.  Discretely R = H^T M H with H the discrete
 harmonic extension, and mu are the reciprocals of the eigenvalues of
-(R, boundary mass), largest first.  The identity holds exactly at the
-discrete level when the flux is recovered consistently, which is why the
-flux here is never a pointwise gradient sample.
+(R, boundary mass), largest first; R is applied, never formed (see
+biharmonic_spectrum).  The identity holds exactly at the discrete level
+when the flux is recovered consistently, which is why the flux here is
+never a pointwise gradient sample.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
+from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
+                                 LinearOperator, eigsh)
 
 from . import feec, mesh
-from .errors import SingularSystemError
+from .errors import ConvergenceError, SingularSystemError
 from .linalg import symmetric_lu
 from .quadrature import simplex_rule
+
+_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -43,22 +49,23 @@ class ExitTimeResult:
 
 
 def _scalar_operators(K: mesh.SimplicialComplex):
+    """P1 stiffness and mass, the boundary vertices in boundary-complex
+    order and the interior vertices."""
     D0 = mesh.coboundary(K, 0).astype(float)
     M1 = feec.mass_matrix(K, 1)
     stiff = (D0.T @ M1 @ D0).tocsr()
     M0 = feec.mass_matrix(K, 0)
-    return stiff, M0
+    bv = K.boundary_complex().parent_index[0]
+    interior = np.setdiff1d(np.arange(K.n_simplices(0)), bv)
+    return stiff, M0, bv, interior
 
 
 def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
     """Solve Delta E = 1 with zero boundary values; recover the flux from
     the residual of the boundary rows so that the discrete divergence
     theorem holds exactly (mean flux equals vol/area to solver precision)."""
-    stiff, M0 = _scalar_operators(K)
-    bc = K.boundary_complex()
-    bv = bc.parent_index[0]
+    stiff, M0, bv, interior = _scalar_operators(K)
     n = K.n_simplices(0)
-    interior = np.setdiff1d(np.arange(n), bv)
     load = M0 @ np.ones(n)
     E = np.zeros(n)
     A = stiff[np.ix_(interior, interior)]
@@ -78,7 +85,7 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
             raise SingularSystemError(str(exc)) from exc
         E[interior] = lu.solve(load[interior])
     resid = load - stiff @ E
-    MS0 = feec.boundary_mass(bc, 0)
+    MS0 = feec.boundary_mass(K.boundary_complex(), 0)
     flux = symmetric_lu(MS0).solve(resid[bv])
     area = float(np.ones(len(bv)) @ (MS0 @ np.ones(len(bv))))
     vol = float(K.top_volumes().sum())
@@ -125,65 +132,58 @@ def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
     return worst
 
 
-def harmonic_extension_gram(K: mesh.SimplicialComplex):
-    """Dense Gram matrix R of discrete harmonic extensions of boundary
-    vertex data, in the volume L2 inner product, plus the boundary mass."""
-    stiff, M0 = _scalar_operators(K)
-    bc = K.boundary_complex()
-    bv = bc.parent_index[0]
-    n = K.n_simplices(0)
-    interior = np.setdiff1d(np.arange(n), bv)
-    lu = symmetric_lu(stiff[np.ix_(interior, interior)])
-    nb = len(bv)
-    H = np.zeros((n, nb))
-    H[bv, np.arange(nb)] = 1.0
-    rhs = -stiff[np.ix_(interior, bv)].toarray()
-    H[interior] = lu.solve(rhs)
-    R = H.T @ (M0 @ H)
-    MS0 = feec.boundary_mass(bc, 0).toarray()
-    return 0.5 * (R + R.T), MS0
-
-
 def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
-    """First k biharmonic Steklov eigenvalues, ascending: reciprocals of the
-    largest eigenvalues of the harmonic-extension Gram pencil."""
-    from scipy.linalg import eigh
+    """First k biharmonic Steklov eigenvalues, ascending: mu = 1/theta for
+    the k largest theta of  R g = theta MS0 g  (see the module docstring).
 
-    R, MS0 = harmonic_extension_gram(K)
-    nb = R.shape[0]
-    k = min(k, nb)
-    vals = eigh(R, MS0, subset_by_index=[nb - k, nb - 1], eigvals_only=True)
-    return np.sort(1.0 / vals[::-1])
-
-
-def biharmonic_mu1_mixed_oracle(K: mesh.SimplicialComplex, k: int = 3) -> np.ndarray:
-    """Independent route to the same eigenvalues: minimize the L2 norm of a
-    free source w against the consistent flux of the Poisson solve it
-    drives.  Finite eigenvalues of (M, F^T MS F) with F the flux map."""
-    from scipy.linalg import eigh
-
-    stiff, M0 = _scalar_operators(K)
-    bc = K.boundary_complex()
-    bv = bc.parent_index[0]
-    n = K.n_simplices(0)
-    interior = np.setdiff1d(np.arange(n), bv)
+    R is applied, never formed.  With one factor of the interior stiffness
+    S_II, R phi extends phi harmonically (u_B = phi, u_I = -S_II^-1 S_IB
+    phi), takes y = M0 u and returns y_B - S_BI S_II^-1 y_I: two solves per
+    vector.  Regular-mode Lanczos in the MS0 inner product (Lehoucq,
+    Sorensen & Yang, ARPACK Users' Guide, 1998) finds the largest theta
+    from a seeded start vector; when k >= nb - 1 the nb columns of R are
+    built and the pencil is solved densely.  Raises ConvergenceError when
+    Lanczos fails or a relative residual
+    ||R g - theta MS0 g|| / (theta ||MS0 g||) (infinity norms) exceeds
+    _RESIDUAL_TOL.
+    """
+    stiff, M0, bv, interior = _scalar_operators(K)
+    n, nb = K.n_simplices(0), len(bv)
+    S_IB = stiff[np.ix_(interior, bv)]
     lu = symmetric_lu(stiff[np.ix_(interior, interior)])
-    MS0 = feec.boundary_mass(bc, 0)
-    lu_ms = symmetric_lu(MS0)
-    nb = len(bv)
+    MS0 = feec.boundary_mass(K.boundary_complex(), 0)
+    k = min(k, nb)
+    what = f"biharmonic Steklov pencil ({n} vertices, {nb} on the boundary)"
 
-    # flux map F: w -> consistent normal derivative of the Poisson solve
-    M0d = M0.toarray()
-    F = np.zeros((nb, n))
-    for j in range(n):
-        load = M0d[:, j]
-        f = np.zeros(n)
-        f[interior] = lu.solve(load[interior])
-        F[:, j] = lu_ms.solve(load[bv] - (stiff @ f)[bv])
-    Q = F.T @ (MS0 @ F)
-    Q = 0.5 * (Q + Q.T)
-    vals, vecs = eigh(Q, M0d + 0.0)
-    # largest eigenvalues of the flux form give the smallest mu
-    theta = vals[::-1][:k]
-    theta = theta[theta > 1e-12 * max(theta[0], 1e-300)]
+    def gram(phi):
+        u = np.empty((n,) + phi.shape[1:])
+        u[bv] = phi
+        u[interior] = -lu.solve(S_IB @ phi)
+        y = M0 @ u
+        return y[bv] - S_IB.T @ lu.solve(y[interior])
+
+    if k >= nb - 1:
+        # the boundary has too few directions for a Lanczos basis
+        R = gram(np.eye(nb))
+        theta, G = eigh(0.5 * (R + R.T), MS0.toarray(),
+                        subset_by_index=[nb - k, nb - 1])
+        RG = R @ G
+    else:
+        op = LinearOperator((nb, nb), matvec=gram, dtype=float)
+        MSinv = LinearOperator((nb, nb), matvec=symmetric_lu(MS0).solve,
+                               dtype=float)
+        v0 = np.random.default_rng(0).normal(size=nb)
+        try:
+            theta, G = eigsh(op, k, M=MS0, Minv=MSinv, which="LA", v0=v0)
+        except (ArpackNoConvergence, ArpackError) as exc:
+            raise ConvergenceError(
+                f"Lanczos failed for the {what}: {exc}") from exc
+        RG = gram(G)
+    MG = MS0 @ G
+    res = (np.abs(RG - MG * theta[None, :]).max(axis=0)
+           / (np.abs(theta) * np.abs(MG).max(axis=0)))
+    if not res.max() <= _RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"eigenpairs of the {what} not converged: relative residual "
+            f"{res.max():.2e} > {_RESIDUAL_TOL:.0e}")
     return np.sort(1.0 / theta)

@@ -188,8 +188,8 @@ def scalar_levels(spec: mesh.DomainSpec):
 
 
 def mu_levels(spec: mesh.DomainSpec):
-    """Levels for the biharmonic solve, which carries a dense
-    harmonic-extension Gram factor."""
+    """Levels for the biharmonic solve: Lanczos on the harmonic-extension
+    Gram operator, a few dozen interior stiffness solves per level."""
     if spec.dim == 2:
         return [3, 4, 5]
     if spec.family == "shell":

@@ -1,7 +1,10 @@
+import biharmonic_oracle
 import numpy as np
 import pytest
+from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from formsteklov import mesh, scalar
+from formsteklov import cli, mesh, scalar
+from formsteklov.errors import ConvergenceError
 
 
 def test_exit_time_disk():
@@ -116,7 +119,7 @@ def test_biharmonic_upper_bound_constant_data():
 
 def test_biharmonic_gram_psd():
     K = mesh.generate(mesh.disk(2))
-    R, MS = scalar.harmonic_extension_gram(K)
+    R, MS = biharmonic_oracle.harmonic_extension_gram(K)
     assert np.abs(R - R.T).max() <= 1e-10 * np.abs(R).max()
     w = np.linalg.eigvalsh(R)
     assert w.min() > -1e-10 * w.max()
@@ -131,5 +134,96 @@ def test_biharmonic_source_form_oracle():
     discrete Green identity, which pins the implementation)."""
     K = mesh.generate(mesh.disk(2))
     mu_gram = scalar.biharmonic_spectrum(K, 3)
-    mu_oracle = scalar.biharmonic_mu1_mixed_oracle(K, 3)
+    mu_oracle = biharmonic_oracle.biharmonic_mu1_mixed_oracle(K, 3)
     assert np.allclose(mu_gram, mu_oracle, rtol=1e-9)
+
+
+_FAMILIES = [
+    (mesh.disk, (), (2, 3)),
+    (mesh.ellipse, (1, 0.7), (2, 3)),
+    (mesh.annulus, (0.5, 1), (2, 3)),
+    (mesh.ball, (), (1, 2)),
+    (mesh.ellipsoid, (1, 0.8, 0.6), (1, 2)),
+    (mesh.shell, (0.5, 1), (0, 1)),
+    (mesh.box, (1, 0.8, 0.6), (1, 2)),
+]
+
+
+@pytest.mark.parametrize("spec", [make(*params, level)
+                                  for make, params, levels in _FAMILIES
+                                  for level in levels], ids=str)
+def test_biharmonic_lanczos_matches_dense_oracle(spec):
+    K = mesh.generate(spec)
+    for k in (1, 3):
+        mu = scalar.biharmonic_spectrum(K, k)
+        ref = biharmonic_oracle.biharmonic_spectrum(K, k)
+        assert len(mu) == k
+        assert np.allclose(mu, ref, rtol=1e-10, atol=0)
+
+
+def test_biharmonic_small_boundary_is_solved_densely():
+    """Ball level 0 has nb = 6 boundary vertices, too few for a Lanczos
+    basis of 8 vectors: all 6 values come back."""
+    K = mesh.generate(mesh.ball(0))
+    mu = scalar.biharmonic_spectrum(K, 8)
+    ref = biharmonic_oracle.biharmonic_spectrum(K, 8)
+    assert len(mu) == len(ref) == 6
+    assert np.allclose(mu, ref, rtol=1e-10, atol=0)
+
+
+def test_box_level4_biharmonic_needs_few_stiffness_solves(monkeypatch):
+    """Box level 4 has nb = 1538; building the harmonic extension took one
+    stiffness solve per boundary vertex, Lanczos takes a few dozen."""
+    K = mesh.generate(mesh.box(1, 1, 1, 4))
+    nb = len(K.boundary_complex().parent_index[0])
+    n_interior = K.n_simplices(0) - nb
+    solves = []
+    true_lu = scalar.symmetric_lu
+
+    class Counting:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            if self.lu.shape[0] == n_interior:
+                solves.append(1 if rhs.ndim == 1 else rhs.shape[1])
+            return self.lu.solve(rhs)
+
+    monkeypatch.setattr(scalar, "symmetric_lu",
+                        lambda S: Counting(true_lu(S)))
+    mu = scalar.biharmonic_spectrum(K, 1)
+    assert nb == 1538
+    assert 0 < sum(solves) <= 80
+    assert abs(mu[0] - 4.49) < 0.01
+
+
+@pytest.mark.parametrize("exc", [
+    ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
+    ArpackError(-9999)], ids=["no-convergence", "arpack-error"])
+def test_biharmonic_lanczos_failure_is_a_convergence_error(
+        monkeypatch, tmp_path, capsys, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(scalar, "eigsh", fail)
+    K = mesh.generate(mesh.disk(2))
+    with pytest.raises(ConvergenceError, match="Lanczos failed"):
+        scalar.biharmonic_spectrum(K, 1)
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["verify", "--domain", "disk", "--checks", "CHK-BIH"])
+    assert rc == 3
+    assert "biharmonic" in capsys.readouterr().err
+
+
+def test_biharmonic_large_residual_is_a_convergence_error(monkeypatch):
+    true_eigsh = scalar.eigsh
+
+    def off(*args, **kwargs):
+        vals, vecs = true_eigsh(*args, **kwargs)
+        noise = np.random.default_rng(1).normal(size=vecs.shape)
+        return vals, vecs + 1e-3 * np.abs(vecs).max() * noise
+
+    monkeypatch.setattr(scalar, "eigsh", off)
+    K = mesh.generate(mesh.disk(2))
+    with pytest.raises(ConvergenceError, match="residual"):
+        scalar.biharmonic_spectrum(K, 1)
