@@ -20,7 +20,7 @@ xi = forms.parallel_form(2, (0,))          # the constant field dx
 x = feec.interpolate(K, xi, 1)
 nor = x @ (feec.normal_trace_form(K, 1) @ x)
 Tr = feec.tangential_trace(K, 1)
-tan = (Tr @ x) @ (feec.boundary_mass(bc, 1) @ (Tr @ x))
+tan = (Tr @ x) @ (feec.mass_matrix(bc, 1) @ (Tr @ x))
 print(f"polygon:  tangential {tan:.8f} + normal {nor:.8f} "
       f"= {tan + nor:.8f} (perimeter {per:.8f})")
 

@@ -2,7 +2,8 @@
 sweeps, and the verification suite with report/plot-data emission.
 
 Exit codes: 0 success (including WARN verdicts), 2 invalid domain
-parameters, 3 solver failure, 4 verification FAIL.
+parameters or a verify sweep of fewer than three levels, 3 solver failure,
+4 verification FAIL.
 """
 
 import argparse
@@ -184,6 +185,10 @@ def cmd_verify(args) -> int:
         levels = list(range(max(0, top - 3), top + 1))
     else:
         levels = verify.default_levels(spec)
+    if len(levels) < 3:
+        print(f"error: verify needs at least 3 levels for Richardson "
+              f"extrapolation, got {levels}", file=sys.stderr)
+        return 2
     ids = args.checks.split(",") if args.checks else None
     lab = verify.Lab()
     report = verify.run_suite([spec], levels=levels, ids=ids, lab=lab)
@@ -233,7 +238,9 @@ def build_parser():
     _add_domain_flags(v)
     v.add_argument("--levels", type=int, nargs="+", default=None)
     v.add_argument("--max-level", type=int, default=None,
-                   help="use the four levels ending here")
+                   help="use the four levels ending here, or levels 0 up "
+                        "to here when it is below 3; at least 2, since "
+                        "extrapolation needs three levels")
     v.add_argument("--checks", default=None,
                    help="comma-separated check ids (default: all)")
     v.add_argument("--report", default=None, help="output file prefix")

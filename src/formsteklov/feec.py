@@ -13,10 +13,10 @@ import math
 import numpy as np
 from scipy import sparse
 
-from . import analytic
+from . import analytic, mesh
 from .errors import DegenerateSimplexError
 from .forms import FormField
-from .mesh import BoundaryComplex, SimplicialComplex
+from .mesh import SimplicialComplex
 from .quadrature import simplex_rule, simplex_rule_positive
 
 
@@ -95,6 +95,14 @@ def mass_matrix(K: SimplicialComplex, p: int):
     return M
 
 
+def stiffness(K: SimplicialComplex, q: int):
+    """Whitney q-form stiffness D_q^T M_{q+1} D_q; zero at the top degree."""
+    if q == K.dim:
+        return sparse.csr_matrix((K.n_simplices(q),) * 2)
+    D = mesh.coboundary(K, q).astype(float)
+    return (D.T @ mass_matrix(K, q + 1) @ D).tocsr()
+
+
 def tangential_trace(K: SimplicialComplex, p: int):
     """Trace matrix from volume p-cochains onto boundary p-cochains.
 
@@ -109,11 +117,6 @@ def tangential_trace(K: SimplicialComplex, p: int):
     T = sparse.coo_matrix((sgn.astype(float), (np.arange(len(idx)), idx)),
                           shape=(len(idx), K.n_simplices(p)))
     return T.tocsr()
-
-
-def boundary_mass(bc: BoundaryComplex, p: int):
-    """Whitney mass matrix of the boundary complex (intrinsic metric)."""
-    return mass_matrix(bc, p)
 
 
 def whitney_values(grads_elem, lam, dofs, vectors):

@@ -1,5 +1,7 @@
-"""Scalar companion solvers: mean-exit time, mean-value property of
-harmonic functions, and the fourth-order (biharmonic) Steklov eigenvalue.
+"""Scalar companion solvers: mean-exit time (one Jacobi-preconditioned CG
+solve at every mesh size), mean-value property of harmonic functions, and
+the fourth-order (biharmonic) Steklov eigenvalue.  The P1 stiffness is
+feec.stiffness at degree 0.
 
 Sign conventions: the Laplacian is delta.d (positive on functions, so the
 exit time solves  Delta E = 1, E = 0 on the boundary) and normal
@@ -25,9 +27,10 @@ never a pointwise gradient sample.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.linalg import eigh
 from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigsh)
+                                 LinearOperator, cg, eigsh)
 
 from . import feec, mesh
 from .errors import ConvergenceError, SingularSystemError
@@ -51,9 +54,7 @@ class ExitTimeResult:
 def _scalar_operators(K: mesh.SimplicialComplex):
     """P1 stiffness and mass, the boundary vertices in boundary-complex
     order and the interior vertices."""
-    D0 = mesh.coboundary(K, 0).astype(float)
-    M1 = feec.mass_matrix(K, 1)
-    stiff = (D0.T @ M1 @ D0).tocsr()
+    stiff = feec.stiffness(K, 0)
     M0 = feec.mass_matrix(K, 0)
     bv = K.boundary_complex().parent_index[0]
     interior = np.setdiff1d(np.arange(K.n_simplices(0)), bv)
@@ -61,31 +62,25 @@ def _scalar_operators(K: mesh.SimplicialComplex):
 
 
 def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
-    """Solve Delta E = 1 with zero boundary values; recover the flux from
+    """Solve Delta E = 1 with zero boundary values by Jacobi-preconditioned
+    conjugate gradients (relative residual 1e-12); recover the flux from
     the residual of the boundary rows so that the discrete divergence
-    theorem holds exactly (mean flux equals vol/area to solver precision)."""
+    theorem holds exactly (mean flux equals vol/area to solver precision).
+    Raises SingularSystemError when CG does not converge."""
     stiff, M0, bv, interior = _scalar_operators(K)
     n = K.n_simplices(0)
     load = M0 @ np.ones(n)
     E = np.zeros(n)
     A = stiff[np.ix_(interior, interior)]
-    if len(interior) > 30000:
-        # direct factorization fill-in gets heavy for large 3-d solves
-        from scipy import sparse as _sp
-        from scipy.sparse.linalg import cg
-        x, info = cg(A.tocsr(), load[interior], rtol=1e-12, maxiter=20000,
-                     M=_sp.diags(1.0 / A.diagonal()))
-        if info != 0:  # pragma: no cover
-            raise SingularSystemError(f"cg failed (info={info})")
-        E[interior] = x
-    else:
-        try:
-            lu = symmetric_lu(A)
-        except RuntimeError as exc:  # pragma: no cover
-            raise SingularSystemError(str(exc)) from exc
-        E[interior] = lu.solve(load[interior])
+    x, info = cg(A, load[interior], rtol=1e-12, maxiter=20000,
+                 M=sparse.diags(1.0 / A.diagonal()))
+    if info != 0:
+        raise SingularSystemError(
+            f"exit-time CG did not converge ({len(interior)} interior "
+            f"vertices, info={info})")
+    E[interior] = x
     resid = load - stiff @ E
-    MS0 = feec.boundary_mass(K.boundary_complex(), 0)
+    MS0 = feec.mass_matrix(K.boundary_complex(), 0)
     flux = symmetric_lu(MS0).solve(resid[bv])
     area = float(np.ones(len(bv)) @ (MS0 @ np.ones(len(bv))))
     vol = float(K.top_volumes().sum())
@@ -151,7 +146,7 @@ def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
     n, nb = K.n_simplices(0), len(bv)
     S_IB = stiff[np.ix_(interior, bv)]
     lu = symmetric_lu(stiff[np.ix_(interior, interior)])
-    MS0 = feec.boundary_mass(K.boundary_complex(), 0)
+    MS0 = feec.mass_matrix(K.boundary_complex(), 0)
     k = min(k, nb)
     what = f"biharmonic Steklov pencil ({n} vertices, {nb} on the boundary)"
 

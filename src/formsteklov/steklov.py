@@ -56,18 +56,6 @@ _REFINE_RATE = 0.5       # each refinement step must halve the backward error
 
 
 @dataclass
-class DtnAssembly:
-    """Blocks of the mixed energy form at one degree."""
-
-    degree: int
-    M_sigma: object          # (p-1)-form mass, None for p = 0
-    C: object                # M_p D_{p-1}, None for p = 0
-    K_stiff: object          # D_p^T M_{p+1} D_p
-    MS: object               # boundary mass in boundary ordering
-    Tr: object               # signed boundary rows of the volume p-DOFs
-
-
-@dataclass
 class SpectrumResult:
     """Lowest eigenvalues of one Dirichlet-to-Neumann problem, with the
     work that produced them: pencil size n, boundary size nb, factor fill
@@ -108,31 +96,11 @@ class SpectrumResult:
         }
 
 
-def _stiffness(K: mesh.SimplicialComplex, q: int):
-    """D_q^T M_{q+1} D_q; zero at the top degree."""
-    if q == K.dim:
-        return sparse.csr_matrix((K.n_simplices(q),) * 2)
-    D = mesh.coboundary(K, q).astype(float)
-    return (D.T @ feec.mass_matrix(K, q + 1) @ D).tocsr()
-
-
 def _coupling(K: mesh.SimplicialComplex, q: int):
     """M_q D_{q-1}: the weak codifferential of a q-form against the
     (q-1)-form mixed variable."""
     return (feec.mass_matrix(K, q)
             @ mesh.coboundary(K, q - 1).astype(float)).tocsr()
-
-
-def assemble_primal(K: mesh.SimplicialComplex, p: int) -> DtnAssembly:
-    """Assemble the mixed energy blocks for boundary degree p (0..dim-1)."""
-    if not 0 <= p <= K.dim - 1:
-        raise ValueError(f"boundary degree {p} out of range")
-    M_sigma, C = ((None, None) if p == 0
-                  else (feec.mass_matrix(K, p - 1), _coupling(K, p)))
-    return DtnAssembly(
-        degree=p, M_sigma=M_sigma, C=C, K_stiff=_stiffness(K, p),
-        MS=feec.boundary_mass(K.boundary_complex(), p),
-        Tr=feec.tangential_trace(K, p))
 
 
 def _factor(S, n_sig, what):
@@ -258,9 +226,7 @@ def _kernel_count(vals: np.ndarray, threshold: float):
     ref = max(1.0, float(abs(vals[-1])))
     kd = int(np.sum(np.abs(vals) < threshold * ref))
     if kd == 0:
-        gap = float("inf") if abs(vals[0]) > 0 else 0.0
-        if len(vals):
-            gap = abs(vals[0]) / (threshold * ref)
+        gap = abs(vals[0]) / (threshold * ref)
     else:
         below = abs(vals[kd - 1])
         above = abs(vals[kd]) if kd < len(vals) else float("inf")
@@ -280,14 +246,20 @@ def kernel_dimension(res: SpectrumResult, threshold: float = 1e-9) -> int:
 
 def solve_primal(K: mesh.SimplicialComplex, p: int, k: int = 8,
                  level=None) -> SpectrumResult:
-    asm = assemble_primal(K, p)
-    A, R, n_sig = asm.K_stiff, asm.Tr, 0
+    """Eigenvalues of the primal (tangential-data) problem at boundary
+    degree p: the pencil of the module docstring, with the mixed variable
+    sigma only for p > 0."""
+    if not 0 <= p <= K.dim - 1:
+        raise ValueError(f"boundary degree {p} out of range")
+    A, R, n_sig = feec.stiffness(K, p), feec.tangential_trace(K, p), 0
     if p > 0:
-        n_sig = asm.M_sigma.shape[0]
-        A = sparse.bmat([[-asm.M_sigma, asm.C.T], [asm.C, A]])
+        M_sigma = feec.mass_matrix(K, p - 1)
+        C = _coupling(K, p)
+        n_sig = M_sigma.shape[0]
+        A = sparse.bmat([[-M_sigma, C.T], [C, A]])
         R = sparse.hstack([sparse.csr_matrix((R.shape[0], n_sig)), R])
-    return _pencil_spectrum(A, R, asm.MS, k, degree=p, level=level,
-                            n_sig=n_sig)
+    MS = feec.mass_matrix(K.boundary_complex(), p)
+    return _pencil_spectrum(A, R, MS, k, degree=p, level=level, n_sig=n_sig)
 
 
 def dual_spectrum(K: mesh.SimplicialComplex, p: int, k: int = 8,
@@ -310,10 +282,10 @@ def dual_spectrum(K: mesh.SimplicialComplex, p: int, k: int = 8,
         free_q[K.boundary_simplices[q]] = False
     W = np.flatnonzero(free_q)
     C_W = _coupling(K, q)[W, :]
-    MS = feec.boundary_mass(K.boundary_complex(), p)
+    MS = feec.mass_matrix(K.boundary_complex(), p)
     E = (feec.tangential_trace(K, p).T @ MS).tocsr()    # n_p x nb
     A = sparse.bmat([[-feec.mass_matrix(K, p), C_W.T, E],
-                     [C_W, _stiffness(K, q)[np.ix_(W, W)], None],
+                     [C_W, feec.stiffness(K, q)[np.ix_(W, W)], None],
                      [E.T, None, None]])
     nb = E.shape[1]
     R = sparse.hstack([sparse.csr_matrix((nb, A.shape[0] - nb)),

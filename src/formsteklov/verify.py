@@ -157,14 +157,6 @@ class VerificationReport:
                 "verdicts": self.verdict_counts()}
 
 
-def _verdict(margin, tol, strict=False):
-    if margin < -tol:
-        return FAIL
-    if abs(margin) <= tol:
-        return WARN if strict else EQUALITY
-    return PASS
-
-
 # ---------------------------------------------------------------------------
 # cached quantity provider
 
@@ -301,12 +293,6 @@ class Lab:
         study = richardson(levels, vals, f"mu1({spec.label()})")
         return study.extrapolated, study.error_bar, study
 
-    def defect_study(self, spec, levels):
-        vals = [self.exit_time(spec, l).defect for l in levels]
-        return ConvergenceStudy(f"defect({spec.label()})", list(levels), vals,
-                                None, vals[-1], 0.0,
-                                note="reported at finest level")
-
 
 # ---------------------------------------------------------------------------
 # the checks
@@ -314,6 +300,21 @@ class Lab:
 
 def _tol(*error_bars_with_coefs):
     return max(1e-6, 3.0 * sum(abs(c) * e for e, c in error_bars_with_coefs))
+
+
+def _bound(check_id, spec, case, lhs, rhs, tol, studies, strict=False):
+    """Row of a bound lhs >= rhs with margin lhs - rhs: FAIL below -tol,
+    EQUALITY-DETECTED within tol of zero (WARN when the bound is strict,
+    which no tolerance can certify), PASS above."""
+    margin = lhs - rhs
+    if margin < -tol:
+        verdict = FAIL
+    elif abs(margin) <= tol:
+        verdict = WARN if strict else EQUALITY
+    else:
+        verdict = PASS
+    return CheckResult(check_id, spec.label(), case, "satisfied", lhs, rhs,
+                       margin, tol, verdict, studies=studies)
 
 
 def _skip(check_id, spec, case, reason):
@@ -421,9 +422,8 @@ def _chk_low(lab, spec, levels, branch):
         factor = (n - p + 2) / (n - p + 1) if branch == "A" else (p + 1) / p
         rhs = factor * sig
         tol = _tol((eb, 1.0))
-        out.append(CheckResult(
-            cid, spec.label(), f"p={p}", "satisfied", nu, rhs, nu - rhs, tol,
-            _verdict(nu - rhs, tol, strict=strict), studies=[study]))
+        out.append(_bound(cid, spec, f"p={p}", nu, rhs, tol, [study],
+                          strict=strict))
     return out
 
 
@@ -435,9 +435,7 @@ def _chk_eq1(lab, spec, levels):
     nu, eb, study = lab.nu(spec, levels, n)
     rhs = (n + 1) * g.H
     tol = _tol((eb, 1.0))
-    return [CheckResult("CHK-EQ1", spec.label(), "", "satisfied",
-                        nu, rhs, nu - rhs, tol, _verdict(nu - rhs, tol),
-                        studies=[study])]
+    return [_bound("CHK-EQ1", spec, "", nu, rhs, tol, [study])]
 
 
 def _chk_cons(lab, spec, levels):
@@ -449,10 +447,8 @@ def _chk_cons(lab, spec, levels):
         nu_q, eb_q, st_q = lab.nu(spec, levels, p - 1)
         rhs = nu_q + g.sigma[p - 1] / p
         tol = _tol((eb_p, 1.0), (eb_q, 1.0))
-        out.append(CheckResult(
-            "CHK-CONS", spec.label(), f"p={p}", "satisfied",
-            nu_p, rhs, nu_p - rhs, tol, _verdict(nu_p - rhs, tol),
-            studies=[st_p, st_q]))
+        out.append(_bound("CHK-CONS", spec, f"p={p}", nu_p, rhs, tol,
+                          [st_p, st_q]))
     return out
 
 
@@ -473,25 +469,20 @@ def _chk_mono(lab, spec, levels):
         tol_acc += 3.0 * (eb_a + eb_b)
         studies += [st_a, st_b]
     tol = max(1e-6, tol_acc)
-    return [CheckResult("CHK-MONO", spec.label(), "", "satisfied",
-                        worst, 0.0, worst, tol, _verdict(worst, tol),
-                        studies=studies)]
+    return [_bound("CHK-MONO", spec, "", worst, 0.0, tol, studies)]
 
 
 def _chk_iso_n(lab, spec, levels):
     n = spec.dim - 1
     g = lab.geometry(spec)
     nu, eb, study = lab.nu(spec, levels, n)
-    tol = _tol((eb, 1.0))
-    margin = g.iso_ratio - nu
-    verdict = _verdict(margin, tol)
-    notes = ""
-    if verdict == EQUALITY:
+    row = _bound("CHK-ISO-N", spec, "", g.iso_ratio, nu, _tol((eb, 1.0)),
+                 [study])
+    if row.verdict == EQUALITY:
         d = lab.exit_time(spec, scalar_levels(spec)[-1]).defect
-        notes = f"equality case: exit-time defect {d:.3g} at finest scalar level"
-    return [CheckResult("CHK-ISO-N", spec.label(), "", "satisfied",
-                        g.iso_ratio, nu, margin, tol, verdict,
-                        notes=notes, studies=[study])]
+        row.notes = (f"equality case: exit-time defect {d:.3g} at finest "
+                     "scalar level")
+    return [row]
 
 
 def _chk_iso_pair(lab, spec, levels):
@@ -507,12 +498,9 @@ def _chk_iso_pair(lab, spec, levels):
             continue
         nu_a, eb_a, st_a = lab.nu(spec, levels, p - 1)
         nu_b, eb_b, st_b = lab.nu(spec, levels, n - p)
-        tol = _tol((eb_a, 1.0), (eb_b, 1.0))
-        margin = g.iso_ratio - (nu_a + nu_b)
-        out.append(CheckResult(
-            "CHK-ISO-PAIR", spec.label(), f"parallel p={p}", "satisfied",
-            g.iso_ratio, nu_a + nu_b, margin, tol, _verdict(margin, tol),
-            studies=[st_a, st_b]))
+        out.append(_bound("CHK-ISO-PAIR", spec, f"parallel p={p}",
+                          g.iso_ratio, nu_a + nu_b,
+                          _tol((eb_a, 1.0), (eb_b, 1.0)), [st_a, st_b]))
     # linear-function variant: nu_{2,0} + nu_{1,n-1} <= iso ratio
     if b[n] != 0:
         out.append(_skip("CHK-ISO-PAIR", spec, "linear function",
@@ -520,12 +508,9 @@ def _chk_iso_pair(lab, spec, levels):
     else:
         nu2, eb2, st2 = lab.nu(spec, levels, 0, index=1)
         nu_b, eb_b, st_b = lab.nu(spec, levels, n - 1)
-        tol = _tol((eb2, 1.0), (eb_b, 1.0))
-        margin = g.iso_ratio - (nu2 + nu_b)
-        out.append(CheckResult(
-            "CHK-ISO-PAIR", spec.label(), "linear function", "satisfied",
-            g.iso_ratio, nu2 + nu_b, margin, tol, _verdict(margin, tol),
-            studies=[st2, st_b]))
+        out.append(_bound("CHK-ISO-PAIR", spec, "linear function",
+                          g.iso_ratio, nu2 + nu_b,
+                          _tol((eb2, 1.0), (eb_b, 1.0)), [st2, st_b]))
     return out
 
 
@@ -564,11 +549,8 @@ def _chk_field(lab, spec, levels):
         else:
             nu, eb, st = lab.nu(spec, levels, 0, index=1)
             label = "exact, nu[2,0]"
-        tol = _tol((eb, vol))
-        margin = nor - nu * vol
-        out.append(CheckResult(
-            "CHK-FIELD", spec.label(), f"{key}: {label}", "satisfied",
-            nor, nu * vol, margin, tol, _verdict(margin, tol), studies=[st]))
+        out.append(_bound("CHK-FIELD", spec, f"{key}: {label}", nor,
+                          nu * vol, _tol((eb, vol)), [st]))
         # co-exact branch (constructively co-exact only for parallel forms;
         # for gradients it needs vanishing top cohomology)
         if p <= n:
@@ -577,13 +559,9 @@ def _chk_field(lab, spec, levels):
                                  f"b_{n} = {b[n]} obstructs co-exactness"))
             else:
                 nu2, eb2, st2 = lab.nu(spec, levels, n - p)
-                tol2 = _tol((eb2, vol))
-                margin2 = tan - nu2 * vol
-                out.append(CheckResult(
-                    "CHK-FIELD", spec.label(),
-                    f"{key}: co-exact, nu[1,{n - p}]", "satisfied",
-                    tan, nu2 * vol, margin2, tol2, _verdict(margin2, tol2),
-                    studies=[st2]))
+                out.append(_bound("CHK-FIELD", spec,
+                                  f"{key}: co-exact, nu[1,{n - p}]", tan,
+                                  nu2 * vol, _tol((eb2, vol)), [st2]))
     return out
 
 
@@ -607,10 +585,8 @@ def _chk_hodge(lab, spec, levels):
         rhs = 0.5 * (g.sigma[p - 1] * nu_a + g.sigma[n - p] * nu_b)
         tol = _tol((eb_l, 1.0), (eb_a, 0.5 * g.sigma[p - 1]),
                    (eb_b, 0.5 * g.sigma[n - p]))
-        out.append(CheckResult(
-            "CHK-HODGE", spec.label(), f"p={p}", "satisfied",
-            lam, rhs, lam - rhs, tol, _verdict(lam - rhs, tol),
-            studies=[st_l, st_a, st_b]))
+        out.append(_bound("CHK-HODGE", spec, f"p={p}", lam, rhs, tol,
+                          [st_l, st_a, st_b]))
     return out
 
 
@@ -626,15 +602,11 @@ def _chk_esc(lab, spec, levels):
     nH = n * g.H
     rhs = 0.5 * (g.sigma[0] * nu_nm1 + nH * nu20)
     tol = _tol((eb_l, 1.0), (eb_a, 0.5 * g.sigma[0]), (eb_b, 0.5 * nH))
-    main = CheckResult("CHK-ESC", spec.label(), "sharpened bound", "satisfied",
-                       lam, rhs, lam - rhs, tol, _verdict(lam - rhs, tol),
-                       studies=[st_l, st_a, st_b])
-    rhs2 = 0.5 * nH * nu20
-    tol2 = _tol((eb_l, 1.0), (eb_b, 0.5 * nH))
-    classic = CheckResult("CHK-ESC", spec.label(), "classical bound",
-                          "satisfied", lam, rhs2, lam - rhs2, tol2,
-                          _verdict(lam - rhs2, tol2, strict=True),
-                          studies=[st_l, st_b])
+    main = _bound("CHK-ESC", spec, "sharpened bound", lam, rhs, tol,
+                  [st_l, st_a, st_b])
+    classic = _bound("CHK-ESC", spec, "classical bound", lam, 0.5 * nH * nu20,
+                     _tol((eb_l, 1.0), (eb_b, 0.5 * nH)), [st_l, st_b],
+                     strict=True)
     return [main, classic]
 
 
@@ -643,25 +615,17 @@ def _chk_bih(lab, spec, levels):
     g = lab.geometry(spec)
     mu, eb_m, st_m = lab.mu1(spec, mu_levels(spec))
     nu, eb_n, st_n = lab.nu(spec, levels, n)
-    out = []
-    tol = _tol((eb_m, 1.0), (eb_n, 1.0))
-    out.append(CheckResult("CHK-BIH", spec.label(), "vs top-degree eigenvalue",
-                           "satisfied", mu, nu, mu - nu, tol,
-                           _verdict(mu - nu, tol), studies=[st_m, st_n]))
+    tol = _tol((eb_m, 1.0))
+    out = [_bound("CHK-BIH", spec, "vs top-degree eigenvalue", mu, nu,
+                  _tol((eb_m, 1.0), (eb_n, 1.0)), [st_m, st_n])]
     if g.H >= 0:
-        rhs = (n + 1) * g.H
-        tol2 = _tol((eb_m, 1.0))
-        out.append(CheckResult("CHK-BIH", spec.label(), "vs mean curvature",
-                               "satisfied", mu, rhs, mu - rhs, tol2,
-                               _verdict(mu - rhs, tol2), studies=[st_m]))
+        out.append(_bound("CHK-BIH", spec, "vs mean curvature", mu,
+                          (n + 1) * g.H, tol, [st_m]))
     else:
         out.append(_skip("CHK-BIH", spec, "vs mean curvature",
                          f"H = {g.H:g} < 0"))
-    tol3 = _tol((eb_m, 1.0))
-    out.append(CheckResult("CHK-BIH", spec.label(), "vs isoperimetric ratio",
-                           "satisfied", g.iso_ratio, mu, g.iso_ratio - mu,
-                           tol3, _verdict(g.iso_ratio - mu, tol3),
-                           studies=[st_m]))
+    out.append(_bound("CHK-BIH", spec, "vs isoperimetric ratio", g.iso_ratio,
+                      mu, tol, [st_m]))
     return out
 
 

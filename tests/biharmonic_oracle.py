@@ -24,7 +24,7 @@ def harmonic_extension_gram(K):
     H[bv, np.arange(nb)] = 1.0
     H[interior] = lu.solve(-stiff[np.ix_(interior, bv)].toarray())
     R = H.T @ (M0 @ H)
-    MS0 = feec.boundary_mass(K.boundary_complex(), 0).toarray()
+    MS0 = feec.mass_matrix(K.boundary_complex(), 0).toarray()
     return 0.5 * (R + R.T), MS0
 
 
@@ -45,7 +45,7 @@ def biharmonic_mu1_mixed_oracle(K, k=3):
     stiff, M0, bv, interior = scalar._scalar_operators(K)
     n, nb = K.n_simplices(0), len(bv)
     lu = symmetric_lu(stiff[np.ix_(interior, interior)])
-    MS0 = feec.boundary_mass(K.boundary_complex(), 0)
+    MS0 = feec.mass_matrix(K.boundary_complex(), 0)
     lu_ms = symmetric_lu(MS0)
 
     # flux map F: w -> consistent normal derivative of the Poisson solve

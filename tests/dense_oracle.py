@@ -17,31 +17,35 @@ from formsteklov import feec, mesh, steklov
 def dtn_matrix(K, p):
     """Dense primal Dirichlet-to-Neumann matrix and boundary mass, both in
     the boundary-complex ordering."""
-    asm = steklov.assemble_primal(K, p)
-    b = asm.Tr.indices
-    s = asm.Tr.data
-    mask = np.ones(asm.K_stiff.shape[0], dtype=bool)
+    D_p = mesh.coboundary(K, p).astype(float)
+    Kst = (D_p.T @ feec.mass_matrix(K, p + 1) @ D_p).tocsr()
+    MS = feec.mass_matrix(K.boundary_complex(), p).toarray()
+    Tr = feec.tangential_trace(K, p)
+    b = Tr.indices
+    s = Tr.data
+    mask = np.ones(Kst.shape[0], dtype=bool)
     mask[b] = False
     i = np.flatnonzero(mask)
-    Kst = asm.K_stiff
     K_bb = Kst[np.ix_(b, b)].toarray() * s[None, :] * s[:, None]
     if len(i) == 0 and p == 0:
-        return K_bb, asm.MS.toarray()
+        return K_bb, MS
     K_ib = Kst[np.ix_(i, b)].multiply(s[None, :]).toarray()
     K_bi = Kst[np.ix_(b, i)]
     if p == 0:
         lam = K_bb + s[:, None] * (K_bi @ splu(Kst[np.ix_(i, i)].tocsc())
                                    .solve(-K_ib))
-        return lam, asm.MS.toarray()
-    C = asm.C
-    P = sparse.bmat([[-asm.M_sigma, C[i, :].T], [C[i, :], Kst[np.ix_(i, i)]]],
+        return lam, MS
+    M_sig = feec.mass_matrix(K, p - 1)
+    C = (feec.mass_matrix(K, p)
+         @ mesh.coboundary(K, p - 1).astype(float)).tocsr()
+    P = sparse.bmat([[-M_sig, C[i, :].T], [C[i, :], Kst[np.ix_(i, i)]]],
                     format="csc")
     rhs = np.vstack([-C[b, :].T.multiply(s[None, :]).toarray(), -K_ib])
     sol = splu(P).solve(rhs)
-    n_sig = asm.M_sigma.shape[0]
+    n_sig = M_sig.shape[0]
     sig, u_i = sol[:n_sig], sol[n_sig:]
     lam = K_bb + s[:, None] * (K_bi @ u_i) + s[:, None] * (C[b, :] @ sig)
-    return lam, asm.MS.toarray()
+    return lam, MS
 
 
 def dual_matrix(K, p):
@@ -61,7 +65,7 @@ def dual_matrix(K, p):
     else:
         Kst = sparse.csr_matrix((len(W), len(W)))
     Tr = feec.tangential_trace(K, q - 1)
-    MS = feec.boundary_mass(K.boundary_complex(), q - 1)
+    MS = feec.mass_matrix(K.boundary_complex(), q - 1)
     E = (Tr.T @ MS).toarray()
     P = sparse.bmat([[-M_sig, C_W.T], [C_W, Kst]], format="csc")
     rhs = np.vstack([-E, np.zeros((len(W), E.shape[1]))])

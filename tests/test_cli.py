@@ -130,3 +130,15 @@ def test_verify_outputs_deterministic(tmp_path, monkeypatch):
         del j["config"]["report"], j["config"]["deterministic"]
     assert ja == jb == jc
 
+
+def test_verify_with_fewer_than_three_levels_exits_2(tmp_path, monkeypatch,
+                                                     capsys):
+    monkeypatch.chdir(tmp_path)
+    for levels in (["--max-level", "1"], ["--levels", "3", "4"]):
+        rc = cli.main(["verify", "--domain", "disk", *levels,
+                       "--checks", "CHK-EQ1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "3 levels" in err
+    assert not list(tmp_path.iterdir())

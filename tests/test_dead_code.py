@@ -1,8 +1,10 @@
-"""Guard against uncalled public surface in the package.
+"""Guard against uncalled surface in the package.
 
-Every top-level public function or class of ``src/formsteklov/*.py`` must be
-referenced somewhere in the package, its tests, the demos or the benchmark:
-as a name, an attribute or an imported name.
+Every top-level function or class of ``src/formsteklov/*.py``, public or
+private, and every method of its classes must be referenced somewhere in
+the package, its tests, the demos or the benchmark: as a name, an attribute
+or an imported name.  Dunder names are called by Python itself and are
+skipped.
 """
 
 import ast
@@ -17,14 +19,26 @@ def _parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
 
 
-def _public_definitions():
-    out = {}
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
+def _definitions():
+    """(name to look up, qualified name, place) of every checked
+    definition."""
+    out = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in _parse(path).body:
-            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and not node.name.startswith("_")):
-                out[node.name] = f"{path.name}:{node.lineno}"
-    return out
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            out.append((node.name, node.name, f"{path.name}:{node.lineno}"))
+            if isinstance(node, ast.ClassDef):
+                out += [(m.name, f"{node.name}.{m.name}",
+                         f"{path.name}:{m.lineno}")
+                        for m in node.body
+                        if isinstance(m, ast.FunctionDef)
+                        and not _is_dunder(m.name)]
+    return [d for d in out if not _is_dunder(d[0])]
 
 
 def _used_names():
@@ -40,8 +54,8 @@ def _used_names():
     return used
 
 
-def test_every_public_definition_is_used():
+def test_every_definition_is_used():
     used = _used_names()
-    unused = {name: where for name, where in _public_definitions().items()
+    unused = {qual: where for name, qual, where in _definitions()
               if name not in used}
-    assert not unused, f"public definitions nobody uses: {unused}"
+    assert not unused, f"definitions nobody uses: {unused}"

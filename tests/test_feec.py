@@ -67,6 +67,18 @@ def test_trace_commutes_with_coboundary(spec):
         assert abs(lhs - rhs).max() == 0
 
 
+@pytest.mark.parametrize("spec", [mesh.disk(1), mesh.ball(0)], ids=str)
+def test_stiffness_is_zero_at_top_degree(spec):
+    K = mesh.generate(spec)
+    S = feec.stiffness(K, K.dim)
+    n = K.n_simplices(K.dim)
+    assert S.shape == (n, n) and S.nnz == 0
+    # one degree down it is the positive semidefinite d-energy
+    S = feec.stiffness(K, K.dim - 1)
+    assert S.shape == (K.n_simplices(K.dim - 1),) * 2 and S.nnz > 0
+    assert abs(S - S.T).max() < 1e-12
+
+
 def test_trace_p0_selects_with_positive_sign():
     K = mesh.generate(mesh.disk(1))
     T = feec.tangential_trace(K, 0).toarray()
@@ -77,7 +89,7 @@ def test_trace_p0_selects_with_positive_sign():
 def test_boundary_mass_totals():
     K = mesh.generate(mesh.disk(3))
     bc = K.boundary_complex()
-    MS0 = feec.boundary_mass(bc, 0)
+    MS0 = feec.mass_matrix(bc, 0)
     ones = np.ones(bc.n_simplices(0))
     assert np.isclose(ones @ (MS0 @ ones), bc.top_volumes().sum())
     # circulant structure on the circle: each row has 3 nonzeros
@@ -119,7 +131,7 @@ def test_normal_plus_tangential_decomposition():
         x = feec.interpolate(K, xi, p)
         nor = x @ (feec.normal_trace_form(K, p) @ x)
         Tr = feec.tangential_trace(K, p)
-        tan = (Tr @ x) @ (feec.boundary_mass(bc, p) @ (Tr @ x))
+        tan = (Tr @ x) @ (feec.mass_matrix(bc, p) @ (Tr @ x))
         assert np.isclose(nor + tan, bc.top_volumes().sum(), rtol=1e-10)
 
 

@@ -35,13 +35,15 @@ def test_sphere_lambda1_multiplicity():
     assert abs(bs.lambda1 - 2.0) < 0.04
     cluster = bs.eigenvalues[1:4]
     assert (cluster.max() - cluster.min()) / cluster.mean() < 1e-3
-    assert bs.form_table == {1: bs.lambda1, 2: bs.lambda1}
 
 
 def test_ellipse_boundary_table():
     K = mesh.generate(mesh.ellipse(1, 0.7, 3))
     bs = hodge.boundary_spectrum(K, 4)
-    assert bs.form_table == {1: bs.lambda1}
+    # one closed curve: one zero mode, then lambda1
+    assert bs.n_components == 1
+    assert abs(bs.eigenvalues[0]) < 1e-10
+    assert bs.lambda1 == bs.eigenvalues[1] > 0
 
 
 def test_two_component_boundary():

@@ -1,10 +1,11 @@
 import biharmonic_oracle
+import exit_time_oracle
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from formsteklov import cli, mesh, scalar
-from formsteklov.errors import ConvergenceError
+from formsteklov.errors import ConvergenceError, SingularSystemError
 
 
 def test_exit_time_disk():
@@ -34,6 +35,32 @@ def test_flux_mean_is_exact_volume_ratio(spec):
     K = mesh.generate(spec)
     r = scalar.mean_exit_time(K)
     assert abs(r.mean_flux - r.vol_ratio) < 1e-10
+
+
+@pytest.mark.parametrize("spec", [
+    *(mesh.disk(l) for l in (3, 4, 5)), *(mesh.ball(l) for l in (2, 3, 4)),
+    *(mesh.box(1, 1, 1, l) for l in (2, 3)),
+    *(mesh.shell(0.5, 1, l) for l in (0, 1, 2)),
+    *(mesh.ellipsoid(1, 0.8, 0.7, l) for l in (1, 2, 3))], ids=str)
+def test_exit_time_cg_matches_direct_oracle(spec):
+    K = mesh.generate(spec)
+    E = scalar.mean_exit_time(K).E
+    ref = exit_time_oracle.exit_time(K)
+    assert np.abs(E - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_exit_time_cg_failure_is_a_singular_system(monkeypatch, tmp_path,
+                                                   capsys):
+    def stuck(A, b, **kwargs):
+        return np.zeros_like(b), 20000
+
+    monkeypatch.setattr(scalar, "cg", stuck)
+    with pytest.raises(SingularSystemError, match="info=20000"):
+        scalar.mean_exit_time(mesh.generate(mesh.disk(2)))
+    monkeypatch.chdir(tmp_path)
+    rc = cli.main(["verify", "--domain", "disk", "--checks", "CHK-MV"])
+    assert rc == 3
+    assert "exit-time CG" in capsys.readouterr().err
 
 
 def test_ellipse_defect_bounded_below():

@@ -34,23 +34,34 @@ def test_disk_classical_spectrum_converges():
 
 def test_p0_reduces_to_scalar_stiffness():
     K = mesh.generate(mesh.disk(1))
-    asm = steklov.assemble_primal(K, 0)
-    assert asm.M_sigma is None and asm.C is None
+    # no mixed variable at p = 0: the pencil lives on the vertices alone
+    assert steklov.solve_primal(K, 0, k=4).n == K.n_simplices(0)
     D0 = mesh.coboundary(K, 0).astype(float)
     M1 = feec.mass_matrix(K, 1)
-    assert abs(asm.K_stiff - D0.T @ M1 @ D0).max() < 1e-14
+    assert abs(feec.stiffness(K, 0) - D0.T @ M1 @ D0).max() < 1e-14
 
 
 def test_assembly_bookkeeping_disk_p1():
     K = mesh.generate(mesh.disk(1))
-    asm = steklov.assemble_primal(K, 1)
-    assert asm.K_stiff.shape[0] == K.n_simplices(1)
-    assert asm.M_sigma.shape[0] == K.n_simplices(0)
+    K_stiff = feec.stiffness(K, 1)
+    assert K_stiff.shape == (K.n_simplices(1),) * 2
+    # the mixed variable sigma on the vertices comes first
+    assert (steklov.solve_primal(K, 1, k=4).n
+            == K.n_simplices(0) + K.n_simplices(1))
     # exact closed cochains have zero d-energy
     rng = np.random.default_rng(0)
     y = rng.normal(size=K.n_simplices(0))
     x = mesh.coboundary(K, 0).astype(float) @ y
-    assert abs(x @ (asm.K_stiff @ x)) < 1e-12
+    assert abs(x @ (K_stiff @ x)) < 1e-12
+
+
+@pytest.mark.parametrize("solver", [steklov.solve_primal,
+                                    steklov.dual_spectrum])
+@pytest.mark.parametrize("p", [-1, 2])
+def test_out_of_range_degree_is_rejected(solver, p):
+    K = mesh.generate(mesh.disk(1))
+    with pytest.raises(ValueError, match=f"boundary degree {p} out of range"):
+        solver(K, p)
 
 
 def test_dtn_symmetry_and_psd():
@@ -301,12 +312,19 @@ def test_large_residual_is_a_convergence_error(monkeypatch):
         steklov.dual_spectrum(K, 0, level=2)
 
 
+def _p0_blocks(K):
+    """Stiffness, signed boundary rows and boundary mass of the primal
+    pencil at p = 0."""
+    return (feec.stiffness(K, 0), feec.tangential_trace(K, 0),
+            feec.mass_matrix(K.boundary_complex(), 0))
+
+
 def test_singular_shifted_pencil_is_reported():
     K = mesh.generate(mesh.disk(1))
-    asm = steklov.assemble_primal(K, 0)
-    B = asm.Tr.T @ asm.MS @ asm.Tr
+    _, Tr, MS = _p0_blocks(K)
+    B = Tr.T @ MS @ Tr
     with pytest.raises(SingularSystemError, match="degree 0 at level 1"):
-        steklov._pencil_spectrum(-B, asm.Tr, asm.MS, 4, 0, 1)
+        steklov._pencil_spectrum(-B, Tr, MS, 4, 0, 1)
 
 
 def test_nonzero_singular_pencil_is_not_regularized_away():
@@ -314,12 +332,12 @@ def test_nonzero_singular_pencil_is_not_regularized_away():
     the diagonal shift makes it factor, and the refinement that cannot
     converge reports the singularity."""
     K = mesh.generate(mesh.disk(1))
-    asm = steklov.assemble_primal(K, 0)
-    B = asm.Tr.T @ asm.MS @ asm.Tr
+    K_stiff, Tr, MS = _p0_blocks(K)
+    B = Tr.T @ MS @ Tr
     with pytest.raises(SingularSystemError,
                        match="refinement of degree 0 at level 1 stalled"):
-        steklov._pencil_spectrum(asm.K_stiff + steklov._SHIFT * B, asm.Tr,
-                                 asm.MS, 4, 0, 1)
+        steklov._pencil_spectrum(K_stiff + steklov._SHIFT * B, Tr, MS, 4, 0,
+                                 1)
 
 
 def test_stalled_refinement_is_loud(monkeypatch, capsys):

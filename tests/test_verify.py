@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from formsteklov import forms, mesh, scalar, steklov, verify
+from formsteklov import feec, forms, mesh, scalar, steklov, verify
 from formsteklov.errors import UnknownCheckError
 
 
@@ -57,6 +57,21 @@ def test_registry_is_complete():
 def test_unknown_check_raises():
     with pytest.raises(UnknownCheckError):
         verify.run_check("CHK-NOPE", mesh.disk(0))
+
+
+@pytest.mark.parametrize("lhs,strict,verdict", [
+    (0.5, False, verify.FAIL), (0.5, True, verify.FAIL),
+    (0.75, False, verify.EQUALITY), (1.25, False, verify.EQUALITY),
+    (0.75, True, verify.WARN), (1.25, True, verify.WARN),
+    (1.5, False, verify.PASS), (1.5, True, verify.PASS)])
+def test_bound_verdict_edges(lhs, strict, verdict):
+    """margin = lhs - 1 against tolerance 1/4; a margin of exactly
+    +-tolerance counts as equality."""
+    row = verify._bound("CHK-X", mesh.disk(0), "case", lhs, 1.0, 0.25,
+                        [], strict=strict)
+    assert row.verdict == verdict
+    assert row.margin == lhs - 1.0 and row.tolerance == 0.25
+    assert (row.lhs, row.rhs, row.hypotheses) == (lhs, 1.0, "satisfied")
 
 
 def test_kernel_check_annulus():
@@ -130,9 +145,10 @@ def _sym_psd_of_pencil(monkeypatch, perturb):
     """CHK-SYM/PSD on one primal pencil of the disk whose A is replaced by
     perturb(A, B) before it reaches the eigen-core."""
     K = mesh.generate(mesh.disk(2))
-    asm = steklov.assemble_primal(K, 0)
-    A = perturb(asm.K_stiff.tolil(), asm.Tr.T @ asm.MS @ asm.Tr).tocsr()
-    r = steklov._pencil_spectrum(A, asm.Tr, asm.MS, 8, 0, 2)
+    Tr = feec.tangential_trace(K, 0)
+    MS = feec.mass_matrix(K.boundary_complex(), 0)
+    A = perturb(feec.stiffness(K, 0).tolil(), Tr.T @ MS @ Tr).tocsr()
+    r = steklov._pencil_spectrum(A, Tr, MS, 8, 0, 2)
     lab = verify.Lab()
     monkeypatch.setattr(lab, "primal", lambda spec, level, p: r)
     (row,) = verify.run_check("CHK-SYM/PSD", mesh.disk(0), levels=[2], lab=lab)
