@@ -2,8 +2,9 @@
 sweeps, and the verification suite with report/plot-data emission.
 
 Exit codes: 0 success (including WARN verdicts), 2 invalid domain
-parameters or a verify sweep of fewer than three levels, 3 solver failure,
-4 verification FAIL.
+parameters, a spectrum ``--count`` below 1 or ``--degree`` outside
+0..dim-1, an unknown check id or a verify sweep of fewer than three
+levels, 3 solver failure, 4 verification FAIL.
 """
 
 import argparse
@@ -63,16 +64,28 @@ def cmd_gen(args) -> int:
     return 0
 
 
+def _reject(message) -> int:
+    """Report invalid arguments on one stderr line; exit code 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
 def cmd_spectrum(args) -> int:
     out = {"config": _resolved_config(args)}
     k = args.count
+    if k < 1:
+        return _reject(f"--count must be at least 1, got {k}")
     solver = steklov.dual_spectrum if args.dual else steklov.solve_primal
+    K = mesh.read_mesh(args.mesh) if args.mesh else None
+    spec = None if args.mesh else _domain_from_args(args)
+    dim = K.dim if args.mesh else spec.dim
+    if not 0 <= args.degree <= dim - 1:
+        return _reject(f"--degree must lie in 0..{dim - 1} on a {dim}-d "
+                       f"domain, got {args.degree}")
     if args.mesh:
-        K = mesh.read_mesh(args.mesh)
         res = solver(K, args.degree, k)
         out["spectrum"] = res.to_json()
     else:
-        spec = _domain_from_args(args)
         if args.levels:
             levels = args.levels
         elif args.level is not None:
@@ -186,10 +199,12 @@ def cmd_verify(args) -> int:
     else:
         levels = verify.default_levels(spec)
     if len(levels) < 3:
-        print(f"error: verify needs at least 3 levels for Richardson "
-              f"extrapolation, got {levels}", file=sys.stderr)
-        return 2
+        return _reject(f"verify needs at least 3 levels for Richardson "
+                       f"extrapolation, got {levels}")
     ids = args.checks.split(",") if args.checks else None
+    unknown = [i for i in ids or () if i not in verify.check_ids()]
+    if unknown:
+        return _reject(f"unknown check id {', '.join(unknown)}")
     lab = verify.Lab()
     report = verify.run_suite([spec], levels=levels, ids=ids, lab=lab)
     payload = {"config": _resolved_config(args), **report.to_json()}

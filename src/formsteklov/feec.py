@@ -4,7 +4,9 @@ Lowest-order (trimmed) Whitney elements only: mass matrices are integrated
 exactly (the integrands are quadratic in the barycentric coordinates),
 cochains of constant-coefficient forms are reproduced exactly, and the
 cochain complex reproduces de Rham cohomology, so kernel dimensions of the
-operators built downstream are exact integers.
+operators built downstream are exact integers.  One exact kernel,
+``_assemble``, integrates the volume mass, the boundary mass and the
+normal-trace energy.
 """
 
 import itertools
@@ -17,7 +19,7 @@ from . import analytic, mesh
 from .errors import DegenerateSimplexError
 from .forms import FormField
 from .mesh import SimplicialComplex
-from .quadrature import simplex_rule, simplex_rule_positive
+from .quadrature import simplex_rule
 
 
 def barycentric_gradients(K: SimplicialComplex):
@@ -54,45 +56,50 @@ def _batched_minor_det(g, rows, cols):
     return np.linalg.det(sub)
 
 
-def mass_matrix(K: SimplicialComplex, p: int):
-    """Whitney p-form mass matrix (symmetric positive definite)."""
-    if not 0 <= p <= K.dim:
-        raise ValueError(f"degree {p} out of range")
-    k = K.dim
-    nloc = k + 1
-    vols, grads = barycentric_gradients(K)
+def _assemble(K: SimplicialComplex, p: int, tops, grads, lam, measure):
+    """Sum of the Whitney p-form products over the top simplices
+    ``K.tops[tops]``, with barycentric gradients ``grads``: element e
+    contributes the integral of the products over its domain, where
+    ``lam[e, i, j] * measure[e]`` is the integral of lambda_i lambda_j."""
     g = np.einsum("nia,nja->nij", grads, grads)
-    locs = list(itertools.combinations(range(nloc), p + 1))
-    nb = len(locs)
-    # exact integrals of lambda_i * lambda_j
-    lam_ij = (np.ones((nloc, nloc)) + np.eye(nloc)) / ((k + 1) * (k + 2))
-
-    local = np.zeros((len(vols), nb, nb))
+    locs = list(itertools.combinations(range(grads.shape[1]), p + 1))
+    nb, ne = len(locs), len(measure)
+    local = np.zeros((ne, nb, nb))
     fp = math.factorial(p) ** 2
     for i, si in enumerate(locs):
         for j, sj in enumerate(locs):
             if j < i:
                 continue
-            acc = np.zeros(len(vols))
+            acc = np.zeros(ne)
             for a in range(p + 1):
                 ra = si[:a] + si[a + 1:]
                 for b in range(p + 1):
                     rb = sj[:b] + sj[b + 1:]
-                    acc += ((-1) ** (a + b) * lam_ij[si[a], sj[b]]
+                    acc += ((-1) ** (a + b) * lam[:, si[a], sj[b]]
                             * _batched_minor_det(g, ra, rb))
-            local[:, i, j] = fp * acc * vols
+            local[:, i, j] = fp * acc * measure
             if j != i:
                 local[:, j, i] = local[:, i, j]
 
-    gidx = K.faces_of_top[p]
-    gsgn = K.face_signs_of_top[p].astype(float)
+    gidx = K.faces_of_top[p][tops]
+    gsgn = K.face_signs_of_top[p][tops].astype(float)
     signed = local * gsgn[:, :, None] * gsgn[:, None, :]
     rows = np.repeat(gidx, nb, axis=1).ravel()
     cols = np.tile(gidx, (1, nb)).ravel()
     n = K.n_simplices(p)
-    M = sparse.coo_matrix((signed.reshape(len(vols), -1).ravel(), (rows, cols)),
-                          shape=(n, n)).tocsr()
-    return M
+    return sparse.coo_matrix((signed.reshape(ne, -1).ravel(), (rows, cols)),
+                             shape=(n, n)).tocsr()
+
+
+def mass_matrix(K: SimplicialComplex, p: int):
+    """Whitney p-form mass matrix (symmetric positive definite)."""
+    if not 0 <= p <= K.dim:
+        raise ValueError(f"degree {p} out of range")
+    k = K.dim
+    vols, grads = barycentric_gradients(K)
+    # exact integrals of lambda_i * lambda_j over a top of unit volume
+    lam = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
+    return _assemble(K, p, slice(None), grads, lam[None], vols)
 
 
 def stiffness(K: SimplicialComplex, q: int):
@@ -119,141 +126,31 @@ def tangential_trace(K: SimplicialComplex, p: int):
     return T.tocsr()
 
 
-def whitney_values(grads_elem, lam, dofs, vectors):
-    """Evaluate Whitney q-form basis functions on q-tuples of vectors.
+def normal_trace_form(K: SimplicialComplex, q: int):
+    """Boundary normal-trace energy of Whitney q-forms: the symmetric PSD
+    matrix of x -> integral over the boundary of |i_N(interpolated x)|^2.
 
-    grads_elem : (nel, k+1, m) barycentric gradients of each element
-    lam : (nel, npts, k+1) barycentric coordinates of evaluation points
-    dofs : sequence of local vertex tuples (the q-subsimplices)
-    vectors : (nel, q, m) the argument vectors (constant per element)
-
-    Returns values of shape (nel, npts, ndof).
-    """
-    nel, npts, _ = lam.shape
-    q = len(dofs[0]) - 1
-    fq = math.factorial(q)
-    # pairings grad(lambda_i) . vector_j
-    pair = np.einsum("nim,nqm->niq", grads_elem, vectors)  # (nel, k+1, q)
-    out = np.zeros((nel, npts, len(dofs)))
-    for d, sig in enumerate(dofs):
-        acc = np.zeros((nel, npts))
-        for a in range(q + 1):
-            rest = sig[:a] + sig[a + 1:]
-            det = _pair_det(pair, rest)
-            acc += (-1) ** a * lam[:, :, sig[a]] * det[:, None]
-        out[:, :, d] = fq * acc
-    return out
-
-
-def _pair_det(pair, rows):
-    """det over the q x q block pair[rows, :] per element."""
-    q = pair.shape[2]
-    if q == 0:
-        return np.ones(pair.shape[0])
-    sub = pair[:, np.array(rows), :]              # (nel, q, q)
-    if q == 1:
-        return sub[:, 0, 0]
-    if q == 2:
-        return sub[:, 0, 0] * sub[:, 1, 1] - sub[:, 0, 1] * sub[:, 1, 0]
-    return np.linalg.det(sub)
-
-
-def _boundary_quadrature(K: SimplicialComplex):
-    """Per-boundary-face data for trace quadrature: parent gradients,
-    barycentric coordinates of the (degree-2, positive) quadrature points,
-    sqrt-weights, inner unit normals and an orthonormal tangent frame."""
-    d = K.dim
-    bface_idx = K.boundary_faces
-    nb = len(bface_idx)
-    fot = K.faces_of_top[d - 1]
-    parent_of_face = -np.ones(K.n_simplices(d - 1), dtype=np.int64)
-    for c in range(fot.shape[1]):
-        parent_of_face[fot[:, c]] = np.arange(len(fot))
-    parents = parent_of_face[bface_idx]
-
-    tops = K.tops[parents]                          # (nb, d+1)
-    faces = K.simplices[d - 1][bface_idx]           # (nb, d)
-    _, grads_all = barycentric_gradients(K)
-    grads = grads_all[parents]                      # (nb, d+1, d)
-
-    fverts = K.vertices[faces]                      # (nb, d, d)
-    e = np.swapaxes(fverts[:, 1:, :] - fverts[:, :1, :], 1, 2)   # (nb, d, d-1)
-    qmats, _ = np.linalg.qr(e)
-    tang = np.swapaxes(qmats, 1, 2)                 # (nb, d-1, d)
-    opp_vertex = np.array([
-        next(iter(set(tops[i].tolist()) - set(faces[i].tolist())))
-        for i in range(nb)
-    ])
-    if d == 2:
-        t0 = tang[:, 0, :]
-        nrm = np.column_stack([-t0[:, 1], t0[:, 0]])
-    else:
-        nrm = np.cross(tang[:, 0, :], tang[:, 1, :])
-    to_opp = K.vertices[opp_vertex] - fverts[:, 0, :]
-    flip = np.einsum("ni,ni->n", nrm, to_opp) < 0
-    nrm[flip] *= -1.0
-
-    areas = np.sqrt(np.linalg.det(np.einsum("nmi,nmj->nij", e, e))) \
-        / math.factorial(d - 1)
-
-    pts_face, w_face = simplex_rule_positive(d - 1, 2)
-    npq = len(pts_face)
-    pos_in_top = np.zeros((nb, d), dtype=np.int64)
-    for c in range(d):
-        pos_in_top[:, c] = np.argmax(tops == faces[:, c][:, None], axis=1)
-    lam = np.zeros((nb, npq, d + 1))
-    ii = np.arange(nb)[:, None]
-    jj = np.arange(npq)[None, :]
-    for c in range(d):
-        lam[ii, jj, pos_in_top[:, c][:, None]] = pts_face[None, :, c]
-    sqrtw = np.sqrt(w_face[None, :] * areas[:, None])   # (nb, npq)
-    return parents, grads, lam, sqrtw, nrm, tang
-
-
-def normal_trace_factor(K: SimplicialComplex, q: int):
-    """Sparse factor G with G^T G the boundary normal-trace energy of
-    Whitney q-forms: x^T (G^T G) x = integral over the boundary of
-    |i_N(interpolated x)|^2, by exact per-face degree-2 quadrature.
-
-    Rows run over (tangent-frame tuple, quadrature point, boundary face) and
-    carry sqrt of the quadrature weight; the sampled quantity is the q-form
-    evaluated on (normal, tangent tuple)."""
+    Pointwise |w|^2 = |i_N w|^2 + |J* w|^2, so it is the boundary integral
+    of the volume form, over the parent top of each boundary face, minus
+    the boundary mass of the tangential trace (zero at q = dim).  Both
+    integrands are quadratic in the barycentric coordinates, so both are
+    exact."""
     if not 1 <= q <= K.dim:
         raise ValueError(f"degree {q} out of range")
     d = K.dim
-    nb = len(K.boundary_faces)
-    n = K.n_simplices(q)
-    if nb == 0:
-        return sparse.csr_matrix((0, n))
-    parents, grads, lam, sqrtw, nrm, tang = _boundary_quadrature(K)
-    npq = lam.shape[1]
-    tuples = list(itertools.combinations(range(d - 1), q - 1))
-    dofs = list(itertools.combinations(range(d + 1), q + 1))
-    gidx = K.faces_of_top[q][parents]
-    gsgn = K.face_signs_of_top[q][parents].astype(float)
-
-    rows_i, cols_i, vals = [], [], []
-    row0 = 0
-    for tup in tuples:
-        vectors = np.concatenate(
-            [nrm[:, None, :]] + [tang[:, (t,), :] for t in tup], axis=1)
-        vals_b = whitney_values(grads, lam, dofs, vectors)   # (nb, npq, ndof)
-        vals_b = vals_b * sqrtw[:, :, None] * gsgn[:, None, :]
-        for k in range(npq):
-            rows_i.append(row0 + np.repeat(np.arange(nb), len(dofs)))
-            cols_i.append(gidx.ravel())
-            vals.append(vals_b[:, k, :].ravel())
-            row0 += nb
-    G = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows_i), np.concatenate(cols_i))),
-        shape=(row0, n))
-    return G.tocsr()
-
-
-def normal_trace_form(K: SimplicialComplex, q: int):
-    """The assembled symmetric PSD normal-trace energy matrix."""
-    G = normal_trace_factor(K, q)
-    return (G.T @ G).tocsr()
+    on_boundary = np.zeros(K.n_simplices(d - 1), dtype=bool)
+    on_boundary[K.boundary_faces] = True
+    fot = K.faces_of_top[d - 1]
+    tops, cols = np.nonzero(on_boundary[fot])
+    # the d-subsets of d+1 local vertices omit d, d-1, ..., 0 in turn
+    keep = np.arange(d + 1)[None, :] != (d - cols)[:, None]
+    lam = (1.0 + np.eye(d + 1)) / (d * (d + 1)) * keep[:, :, None] * keep[:, None, :]
+    areas = mesh.simplex_measures(K.vertices, K.simplices[d - 1][fot[tops, cols]])
+    F = _assemble(K, q, tops, barycentric_gradients(K)[1][tops], lam, areas)
+    if q == d:
+        return F
+    Tr = tangential_trace(K, q)
+    return (F - Tr.T @ mass_matrix(K.boundary_complex(), q) @ Tr).tocsr()
 
 
 def integrate_analytic(spec, field: FormField, what: str) -> float:

@@ -347,29 +347,21 @@ class BoundaryComplex(SimplicialComplex):
         return sc
 
     def components(self):
-        """Connected components as lists of top-simplex indices."""
-        nf = self.n_simplices(self.dim)
-        adj = [[] for _ in range(self.n_simplices(0))]
-        for i, row in enumerate(self.tops.tolist()):
-            for v in row:
-                adj[v].append(i)
-        seen = np.zeros(nf, dtype=bool)
-        comps = []
-        for start in range(nf):
-            if seen[start]:
-                continue
-            stack, comp = [start], []
-            seen[start] = True
-            while stack:
-                f = stack.pop()
-                comp.append(f)
-                for v in self.tops[f]:
-                    for g in adj[v]:
-                        if not seen[g]:
-                            seen[g] = True
-                            stack.append(g)
-            comps.append(sorted(comp))
-        return comps
+        """Connected components as sorted lists of top-simplex indices,
+        ordered by their smallest top index; two tops are joined when
+        they share a vertex."""
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+
+        nt = self.n_simplices(self.dim)
+        inc = sparse.csr_matrix(
+            (np.ones(self.tops.size),
+             (np.repeat(np.arange(nt), self.dim + 1), self.tops.ravel())),
+            shape=(nt, self.n_simplices(0)))
+        _, labels = connected_components(inc @ inc.T, directed=False)
+        _, first = np.unique(labels, return_index=True)
+        return [np.flatnonzero(labels == labels[t]).tolist()
+                for t in np.sort(first)]
 
 
 # ---------------------------------------------------------------------------

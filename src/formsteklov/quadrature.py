@@ -44,20 +44,6 @@ def simplex_rule(dim: int, degree: int):
     return points, weights
 
 
-def simplex_rule_positive(dim: int, degree: int = 2):
-    """Positive-weight rule of degree >= 2 on the reference simplex
-    (barycentric points, weights summing to 1).  Needed where the square
-    root of the weights enters a factored Gram matrix."""
-    if dim == 1:
-        r = 1.0 / (2.0 * math.sqrt(3.0))
-        pts = np.array([[0.5 + r, 0.5 - r], [0.5 - r, 0.5 + r]])
-        return pts, np.array([0.5, 0.5])
-    if dim == 2:
-        pts = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
-        return pts, np.full(3, 1.0 / 3.0)
-    raise ValueError(f"no positive rule tabulated for dim {dim}")
-
-
 def gauss_legendre(n: int):
     """Gauss-Legendre nodes/weights on [0, 1]."""
     x, w = np.polynomial.legendre.leggauss(n)

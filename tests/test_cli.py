@@ -2,8 +2,10 @@ import json
 import os
 
 import numpy as np
+import pytest
 
-from formsteklov import cli, mesh
+from formsteklov import cli, mesh, steklov, verify
+from formsteklov.errors import UnknownCheckError
 
 try:
     import jsonschema
@@ -142,3 +144,41 @@ def test_verify_with_fewer_than_three_levels_exits_2(tmp_path, monkeypatch,
         assert err.startswith("error:") and err.count("\n") == 1
         assert "3 levels" in err
     assert not list(tmp_path.iterdir())
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("argument errors must be found before any solve")
+
+
+@pytest.mark.parametrize("extra", [["--count", "0"], ["--count", "-2"],
+                                   ["--degree", "5"],
+                                   ["--degree", "3", "--dual"]],
+                         ids=["count0", "count-2", "degree5", "dual-degree3"])
+@pytest.mark.parametrize("where", [["--level", "2"], ["--mesh", "m.smesh"]],
+                         ids=["sweep", "mesh"])
+def test_spectrum_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, where,
+                                       extra):
+    monkeypatch.chdir(tmp_path)
+    mesh.write_mesh(tmp_path / "m.smesh", mesh.generate(mesh.ball(0)))
+    monkeypatch.setattr(steklov, "solve_primal", _no_solve)
+    monkeypatch.setattr(steklov, "dual_spectrum", _no_solve)
+    rc = cli.main(["spectrum", "--domain", "ball", *where, *extra,
+                   "--out", "s.json"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert extra[0] in err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_verify_unknown_check_id_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(verify, "run_suite", _no_solve)
+    for checks in ("CHK-FOO", "CHK-KER,CHK-FOO"):
+        rc = cli.main(["verify", "--domain", "disk", "--checks", checks,
+                       "--levels", "2", "3", "4"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: unknown check id CHK-FOO\n"
+    assert not list(tmp_path.iterdir())
+    with pytest.raises(UnknownCheckError):
+        verify.run_check("CHK-FOO", mesh.disk(2))

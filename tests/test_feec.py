@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
+import normal_trace_oracle
 from formsteklov import feec, forms, mesh
 
 SPECS = [mesh.disk(2), mesh.ball(1), mesh.annulus(0.5, 1, 1),
@@ -150,6 +151,34 @@ def test_normal_trace_interior_support():
             x = np.zeros(K.n_simplices(1))
             x[e] = 1.0
             assert x @ (N1 @ x) == 0.0
+
+
+FAMILY_SPECS = [mesh.disk(), mesh.ellipse(1, 0.7), mesh.annulus(0.5, 1),
+                mesh.ball(), mesh.ellipsoid(1, 0.8, 0.7), mesh.shell(0.5, 1),
+                mesh.box(1, 1, 1)]
+
+
+@pytest.mark.parametrize(
+    "spec", [s.with_level(l) for s in FAMILY_SPECS for l in (0, 1)],
+    ids=lambda s: f"{s.label()}-{s.level}")
+def test_normal_trace_form_matches_sampled_oracle(spec):
+    """The exact volume-minus-tangential form equals the energy of the
+    Whitney form sampled on (normal, tangent frame) at a face rule."""
+    K = mesh.generate(spec)
+    for q in range(1, K.dim + 1):
+        N = feec.normal_trace_form(K, q)
+        scale = abs(N).max()
+        assert abs(N - normal_trace_oracle.normal_trace_form(K, q)).max() \
+            <= 1e-12 * scale
+        assert abs(N - N.T).max() <= 1e-14 * scale
+        assert np.linalg.eigvalsh(N.toarray()).min() >= -1e-13 * scale
+
+
+def test_normal_trace_form_degree_range():
+    K = mesh.generate(mesh.ball(0))
+    for q in (0, K.dim + 1):
+        with pytest.raises(ValueError):
+            feec.normal_trace_form(K, q)
 
 
 def test_integrate_analytic_disk_values():

@@ -164,6 +164,16 @@ def test_boundary_component_count(spec):
     assert ncomp == (2 if spec.family in ("annulus", "shell") else 1)
 
 
+def test_annulus_components_split_by_radius():
+    bc = mesh.generate(mesh.annulus(0.5, 1, 1)).boundary_complex()
+    radius = np.linalg.norm(bc.vertices[bc.tops[:, 0]], axis=1)
+    inner = np.flatnonzero(np.isclose(radius, 0.5)).tolist()
+    outer = np.flatnonzero(np.isclose(radius, 1.0)).tolist()
+    assert len(inner) + len(outer) == bc.n_simplices(1)
+    expected = sorted([inner, outer], key=min)
+    assert bc.components() == expected
+
+
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
 def test_positive_volumes(spec):
     K = mesh.generate(spec)
