@@ -2,7 +2,8 @@
 sweeps, and the verification suite with report/plot-data emission.
 
 Exit codes: 0 success (including WARN verdicts), 2 invalid domain
-parameters, a spectrum ``--count`` below 1 or ``--degree`` outside
+parameters (each must be finite and positive), ``--levels`` not strictly
+increasing, a spectrum ``--count`` below 1 or ``--degree`` outside
 0..dim-1, an unknown check id or a verify sweep of fewer than three
 levels, 3 solver failure, 4 verification FAIL.
 """
@@ -70,11 +71,19 @@ def _reject(message) -> int:
     return 2
 
 
+def _unordered(levels) -> bool:
+    """True when a --levels sweep is given but not strictly increasing."""
+    levels = levels or []
+    return any(b <= a for a, b in zip(levels, levels[1:]))
+
+
 def cmd_spectrum(args) -> int:
     out = {"config": _resolved_config(args)}
     k = args.count
     if k < 1:
         return _reject(f"--count must be at least 1, got {k}")
+    if _unordered(args.levels):
+        return _reject("--levels must be strictly increasing")
     solver = steklov.dual_spectrum if args.dual else steklov.solve_primal
     K = mesh.read_mesh(args.mesh) if args.mesh else None
     spec = None if args.mesh else _domain_from_args(args)
@@ -191,6 +200,8 @@ def _write_svg(studies, path, width=640, height=400):
 
 def cmd_verify(args) -> int:
     spec = _domain_from_args(args)
+    if _unordered(args.levels):
+        return _reject("--levels must be strictly increasing")
     if args.levels and len(args.levels) > 1:
         levels = args.levels
     elif (args.levels and len(args.levels) == 1) or args.max_level is not None:

@@ -4,9 +4,12 @@ Lowest-order (trimmed) Whitney elements only: mass matrices are integrated
 exactly (the integrands are quadratic in the barycentric coordinates),
 cochains of constant-coefficient forms are reproduced exactly, and the
 cochain complex reproduces de Rham cohomology, so kernel dimensions of the
-operators built downstream are exact integers.  One exact kernel,
-``_assemble``, integrates the volume mass, the boundary mass and the
-normal-trace energy.
+operators built downstream are exact integers.  One exact element-local
+kernel, ``_local_products``, integrates the Whitney products on each top
+simplex, and ``_scatter`` sums element matrices onto the mesh: the volume
+mass, the boundary mass, the stiffness (the local mass pulled back
+through the integer local coboundary) and the normal-trace energy all
+take this path, and the stiffness never forms a global (q+1)-form matrix.
 """
 
 import itertools
@@ -56,11 +59,12 @@ def _batched_minor_det(g, rows, cols):
     return np.linalg.det(sub)
 
 
-def _assemble(K: SimplicialComplex, p: int, tops, grads, lam, measure):
-    """Sum of the Whitney p-form products over the top simplices
-    ``K.tops[tops]``, with barycentric gradients ``grads``: element e
-    contributes the integral of the products over its domain, where
-    ``lam[e, i, j] * measure[e]`` is the integral of lambda_i lambda_j."""
+def _local_products(p: int, grads, lam, measure):
+    """Element matrices (ne, nb, nb) of the Whitney p-form products, in
+    the local combination order of the p-faces, with barycentric gradients
+    ``grads``: element e contributes the integral of the products over its
+    domain, where ``lam[e, i, j] * measure[e]`` is the integral of
+    lambda_i lambda_j."""
     g = np.einsum("nia,nja->nij", grads, grads)
     locs = list(itertools.combinations(range(grads.shape[1]), p + 1))
     nb, ne = len(locs), len(measure)
@@ -80,34 +84,69 @@ def _assemble(K: SimplicialComplex, p: int, tops, grads, lam, measure):
             local[:, i, j] = fp * acc * measure
             if j != i:
                 local[:, j, i] = local[:, i, j]
+    return local
 
+
+def _scatter(K: SimplicialComplex, p: int, tops, local):
+    """Sum the element matrices ``local`` of the top simplices
+    ``K.tops[tops]``, given in local combination order, onto the global
+    p-simplices.  The stored face signs are applied to ``local`` in place
+    (they are +-1, so the products are exact)."""
     gidx = K.faces_of_top[p][tops]
-    gsgn = K.face_signs_of_top[p][tops].astype(float)
-    signed = local * gsgn[:, :, None] * gsgn[:, None, :]
+    gsgn = K.face_signs_of_top[p][tops]
+    local *= gsgn[:, :, None]
+    local *= gsgn[:, None, :]
+    nb = gidx.shape[1]
     rows = np.repeat(gidx, nb, axis=1).ravel()
     cols = np.tile(gidx, (1, nb)).ravel()
     n = K.n_simplices(p)
-    return sparse.coo_matrix((signed.reshape(ne, -1).ravel(), (rows, cols)),
+    return sparse.coo_matrix((local.ravel(), (rows, cols)),
                              shape=(n, n)).tocsr()
+
+
+def _volume_products(K: SimplicialComplex, p: int):
+    """Element matrices of the Whitney p-form mass on every top simplex."""
+    k = K.dim
+    vols, grads = barycentric_gradients(K)
+    # exact integrals of lambda_i * lambda_j over a top of unit volume
+    lam = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
+    return _local_products(p, grads, lam[None], vols)
+
+
+def _local_coboundary(k: int, q: int):
+    """Incidence of the local (q+1)-faces of a k-simplex on its local
+    q-faces, both in combination order: (-1)^a where the q-face drops
+    position a."""
+    faces = list(itertools.combinations(range(k + 1), q + 1))
+    cofaces = list(itertools.combinations(range(k + 1), q + 2))
+    D = np.zeros((len(cofaces), len(faces)))
+    for r, tau in enumerate(cofaces):
+        for a in range(q + 2):
+            D[r, faces.index(tau[:a] + tau[a + 1:])] = (-1) ** a
+    return D
 
 
 def mass_matrix(K: SimplicialComplex, p: int):
     """Whitney p-form mass matrix (symmetric positive definite)."""
     if not 0 <= p <= K.dim:
         raise ValueError(f"degree {p} out of range")
-    k = K.dim
-    vols, grads = barycentric_gradients(K)
-    # exact integrals of lambda_i * lambda_j over a top of unit volume
-    lam = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
-    return _assemble(K, p, slice(None), grads, lam[None], vols)
+    return _scatter(K, p, slice(None), _volume_products(K, p))
 
 
 def stiffness(K: SimplicialComplex, q: int):
-    """Whitney q-form stiffness D_q^T M_{q+1} D_q; zero at the top degree."""
+    """Whitney q-form stiffness D_q^T M_{q+1} D_q; zero at the top degree.
+
+    Assembled element by element: on each top the local (q+1)-form mass
+    is pulled back through the integer local coboundary,
+    D_loc^T M_loc D_loc, and scattered onto the q-simplices, so no global
+    (q+1)-form matrix is built."""
+    if not 0 <= q <= K.dim:
+        raise ValueError(f"degree {q} out of range")
     if q == K.dim:
         return sparse.csr_matrix((K.n_simplices(q),) * 2)
-    D = mesh.coboundary(K, q).astype(float)
-    return (D.T @ mass_matrix(K, q + 1) @ D).tocsr()
+    D = _local_coboundary(K.dim, q)
+    local = D.T @ _volume_products(K, q + 1) @ D
+    return _scatter(K, q, slice(None), local)
 
 
 def tangential_trace(K: SimplicialComplex, p: int):
@@ -146,7 +185,8 @@ def normal_trace_form(K: SimplicialComplex, q: int):
     keep = np.arange(d + 1)[None, :] != (d - cols)[:, None]
     lam = (1.0 + np.eye(d + 1)) / (d * (d + 1)) * keep[:, :, None] * keep[:, None, :]
     areas = mesh.simplex_measures(K.vertices, K.simplices[d - 1][fot[tops, cols]])
-    F = _assemble(K, q, tops, barycentric_gradients(K)[1][tops], lam, areas)
+    grads = barycentric_gradients(K)[1][tops]
+    F = _scatter(K, q, tops, _local_products(q, grads, lam, areas))
     if q == d:
         return F
     Tr = tangential_trace(K, q)

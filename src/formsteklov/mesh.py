@@ -55,8 +55,9 @@ class DomainSpec:
         if len(p) != expected:
             raise InvalidDomainError(
                 f"{self.family} takes {expected} parameters, got {len(p)}")
-        if any(x <= 0 for x in p):
-            raise InvalidDomainError("all metric parameters must be positive")
+        if not all(math.isfinite(x) and x > 0 for x in p):
+            raise InvalidDomainError(
+                "all metric parameters must be finite and positive")
         if self.family in ("annulus", "shell") and p[0] >= p[1]:
             raise InvalidDomainError("need r_in < r_out")
         if self.family == "ellipse" and p[0] < p[1]:

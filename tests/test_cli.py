@@ -171,6 +171,37 @@ def test_spectrum_bad_arguments_exit_2(tmp_path, monkeypatch, capsys, where,
     assert not (tmp_path / "s.json").exists()
 
 
+@pytest.mark.parametrize("command,levels", [
+    ("verify", ["2", "2", "2"]), ("verify", ["3", "2", "1"]),
+    ("spectrum", ["3", "2", "1"]), ("spectrum", ["2", "2"])],
+    ids=["verify-repeated", "verify-descending", "spectrum-descending",
+         "spectrum-repeated"])
+def test_levels_out_of_order_exit_2(tmp_path, monkeypatch, capsys, command,
+                                    levels):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(steklov, "solve_primal", _no_solve)
+    monkeypatch.setattr(verify, "run_suite", _no_solve)
+    rc = cli.main([command, "--domain", "disk", "--levels", *levels])
+    assert rc == 2
+    assert (capsys.readouterr().err
+            == "error: --levels must be strictly increasing\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("domain", [
+    ["ellipse", "--a", "nan"], ["ellipse", "--a", "inf"],
+    ["box", "--lx", "nan"], ["annulus", "--rin", "nan"]],
+    ids=["ellipse-a-nan", "ellipse-a-inf", "box-lx-nan", "annulus-rin-nan"])
+def test_non_finite_domain_parameters_exit_2(tmp_path, monkeypatch, capsys,
+                                             domain):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(steklov, "solve_primal", _no_solve)
+    rc = cli.main(["spectrum", "--domain", *domain, "--level", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: all metric parameters must be finite and positive\n"
+
+
 def test_verify_unknown_check_id_exits_2(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(verify, "run_suite", _no_solve)

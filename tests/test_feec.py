@@ -1,14 +1,23 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.linalg import cholesky
 
+import mass_oracle
 import normal_trace_oracle
 from formsteklov import feec, forms, mesh
 
 SPECS = [mesh.disk(2), mesh.ball(1), mesh.annulus(0.5, 1, 1),
          mesh.shell(0.5, 1, 0), mesh.ellipse(1, 0.7, 2), mesh.box(1, 1, 1, 1)]
+FAMILIES = [mesh.disk(0), mesh.ellipse(1, 0.7, 0), mesh.annulus(0.5, 1, 0),
+            mesh.ball(0), mesh.ellipsoid(1, 0.8, 0.6, 0),
+            mesh.shell(0.5, 1, 0), mesh.box(1, 1, 1, 0)]
+
+
+def _level_id(spec):
+    return f"{spec.label()}-{spec.level}"
 
 
 def single_triangle():
@@ -78,6 +87,70 @@ def test_stiffness_is_zero_at_top_degree(spec):
     S = feec.stiffness(K, K.dim - 1)
     assert S.shape == (K.n_simplices(K.dim - 1),) * 2 and S.nnz > 0
     assert abs(S - S.T).max() < 1e-12
+
+
+STIFFNESS_SPECS = ([s.with_level(l) for s in FAMILIES for l in (0, 1)]
+                   + [mesh.disk(2), mesh.box(1, 1, 1, 2)])
+
+
+@pytest.mark.parametrize("spec", STIFFNESS_SPECS, ids=_level_id)
+def test_stiffness_matches_product_oracle(spec):
+    """The element-by-element stiffness equals D_q^T M_{q+1} D_q formed
+    from the global coboundary and mass, and is symmetric."""
+    K = mesh.generate(spec)
+    for q in range(K.dim):
+        S = feec.stiffness(K, q)
+        D = mesh.coboundary(K, q).astype(float)
+        oracle = D.T @ feec.mass_matrix(K, q + 1) @ D
+        scale = abs(oracle).max()
+        assert S.shape == oracle.shape and scale > 0
+        assert abs(S - oracle).max() <= 1e-14 * scale
+        assert abs(S - S.T).max() <= 1e-14 * scale
+
+
+def test_stiffness_builds_without_global_mass_or_coboundary(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("stiffness must not form a global matrix")
+
+    for spec in (mesh.disk(1), mesh.ball(1)):
+        K = mesh.generate(spec)
+        expected = [feec.stiffness(K, q) for q in range(K.dim + 1)]
+        with monkeypatch.context() as m:
+            m.setattr(feec, "mass_matrix", refuse)
+            m.setattr(mesh, "coboundary", refuse)
+            for q in range(K.dim + 1):
+                assert (feec.stiffness(K, q) != expected[q]).nnz == 0
+
+
+@pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILIES
+                                  for l in (0, 1, 2)], ids=_level_id)
+def test_mass_matrix_equals_one_pass_assembly(spec):
+    """The separate scatter step changes no mass entry, on the volume
+    complex and on the boundary complex, at every degree."""
+    K = mesh.generate(spec)
+    for C in (K, K.boundary_complex()):
+        for p in range(C.dim + 1):
+            M, oracle = feec.mass_matrix(C, p), mass_oracle.mass_matrix(C, p)
+            assert M.shape == oracle.shape and (M != oracle).nnz == 0
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_p1_stiffness_peak_stays_below_edge_mass_peak():
+    """On the ball at level 4 (32,768 tets) building the P1 stiffness
+    takes less memory than building the edge mass, so it cannot go
+    through that mass."""
+    K = mesh.generate(mesh.ball(4))
+    stiffness = _traced_peak(lambda: feec.stiffness(K, 0))
+    edge_mass = _traced_peak(lambda: feec.mass_matrix(K, 1))
+    assert stiffness < edge_mass
 
 
 def test_trace_p0_selects_with_positive_sign():

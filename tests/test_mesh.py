@@ -72,6 +72,14 @@ def test_domain_spec_validation():
         mesh.DomainSpec("disk", (), -1)
     with pytest.raises(InvalidDomainError):
         mesh.DomainSpec("torus", (), 0)
+    for params in ((float("nan"), 0.7), (float("inf"), 0.7),
+                   (1.0, float("nan"))):
+        with pytest.raises(InvalidDomainError, match="finite and positive"):
+            mesh.ellipse(*params)
+    with pytest.raises(InvalidDomainError, match="finite and positive"):
+        mesh.box(float("nan"), 1, 1)
+    with pytest.raises(InvalidDomainError, match="finite and positive"):
+        mesh.shell(0.5, float("inf"))
 
 
 def test_disk_level0_counts():

@@ -280,6 +280,16 @@ def test_box_level3_quasi_definite_fill():
         assert r.solve_residual <= steklov._REFINE_TOL
 
 
+def test_box_level3_coboundary_stiffness_keeps_unshifted_factors():
+    """Primal p = 1 and dual p = 0 at box level 3 factor without the
+    delta shift.  A stiffness from the closed form (q+1)!^2 vol det g of
+    the Whitney differentials rounds differently, and the dual pencil
+    then takes the shift."""
+    K = mesh.generate(mesh.box(1, 1, 1, 3))
+    assert steklov.solve_primal(K, 1).delta == 0.0
+    assert steklov.dual_spectrum(K, 0).delta == 0.0
+
+
 @pytest.mark.parametrize("exc", [
     ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
     ArpackError(-9999)], ids=["no-convergence", "arpack-error"])
