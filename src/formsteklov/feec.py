@@ -10,6 +10,8 @@ simplex, and ``_scatter`` sums element matrices onto the mesh: the volume
 mass, the boundary mass, the stiffness (the local mass pulled back
 through the integer local coboundary) and the normal-trace energy all
 take this path, and the stiffness never forms a global (q+1)-form matrix.
+The volume element matrices are computed over chunks of ``_CHUNK`` tops,
+so the gradients and products in flight stay bounded by the chunk size.
 """
 
 import itertools
@@ -25,21 +27,30 @@ from .mesh import SimplicialComplex
 from .quadrature import simplex_rule
 
 
-def barycentric_gradients(K: SimplicialComplex):
-    """Per-top-simplex volumes and gradients of the barycentric coordinates.
+# tops per chunk of element-by-element work, here and in scalar
+_CHUNK = 2 ** 15
 
-    Works for embedded complexes (boundary surfaces/curves): gradients are
-    tangential.  Returns (vols (nt,), grads (nt, k+1, ambient)).
-    """
-    tops = K.tops
-    k = K.dim
-    v = K.vertices[tops]
+
+def _edge_gram(K: SimplicialComplex, tops):
+    """Edge vectors (nt, ambient, k), their Gram matrices and the volumes
+    of the top simplices ``K.tops[tops]``."""
+    v = K.vertices[K.tops[tops]]
     e = np.swapaxes(v[:, 1:, :] - v[:, :1, :], 1, 2)   # (nt, ambient, k)
     gram = np.einsum("nmi,nmj->nij", e, e)
     det = np.linalg.det(gram)
     if np.any(det <= 0):
         raise DegenerateSimplexError("zero-volume simplex in mass assembly")
-    vols = np.sqrt(det) / math.factorial(k)
+    return e, gram, np.sqrt(det) / math.factorial(K.dim)
+
+
+def barycentric_gradients(K: SimplicialComplex, tops=slice(None)):
+    """Volumes and gradients of the barycentric coordinates of the top
+    simplices ``K.tops[tops]`` (all of them by default).
+
+    Works for embedded complexes (boundary surfaces/curves): gradients are
+    tangential.  Returns (vols (nt,), grads (nt, k+1, ambient)).
+    """
+    e, gram, vols = _edge_gram(K, tops)
     ginv = np.linalg.inv(gram)
     grads_rest = np.einsum("nmi,nij->nmj", e, ginv)    # (nt, ambient, k)
     grads = np.concatenate([-grads_rest.sum(axis=2, keepdims=True), grads_rest], axis=2)
@@ -92,25 +103,43 @@ def _scatter(K: SimplicialComplex, p: int, tops, local):
     ``K.tops[tops]``, given in local combination order, onto the global
     p-simplices.  The stored face signs are applied to ``local`` in place
     (they are +-1, so the products are exact)."""
+    n = K.n_simplices(p)
     gidx = K.faces_of_top[p][tops]
+    if n < 2 ** 31:
+        # scipy would copy int64 indices down to int32 itself
+        gidx = gidx.astype(np.int32)
     gsgn = K.face_signs_of_top[p][tops]
     local *= gsgn[:, :, None]
     local *= gsgn[:, None, :]
     nb = gidx.shape[1]
     rows = np.repeat(gidx, nb, axis=1).ravel()
     cols = np.tile(gidx, (1, nb)).ravel()
-    n = K.n_simplices(p)
     return sparse.coo_matrix((local.ravel(), (rows, cols)),
                              shape=(n, n)).tocsr()
 
 
-def _volume_products(K: SimplicialComplex, p: int):
-    """Element matrices of the Whitney p-form mass on every top simplex."""
-    k = K.dim
-    vols, grads = barycentric_gradients(K)
+def _volume_products(K: SimplicialComplex, p: int, D=None):
+    """Element matrices of the Whitney p-form mass on every top simplex,
+    pulled back to D.T @ local @ D when a local coboundary D is given;
+    computed one chunk of _CHUNK tops at a time."""
+    k, nt = K.dim, len(K.tops)
     # exact integrals of lambda_i * lambda_j over a top of unit volume
     lam = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
-    return _local_products(p, grads, lam[None], vols)
+    nb = math.comb(k + 1, p + 1) if D is None else D.shape[1]
+    out = np.empty((nt, nb, nb))
+    for start in range(0, nt, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        if p == 0:
+            # the degree-0 products are lambda_i lambda_j themselves
+            out[chunk] = _edge_gram(K, chunk)[2][:, None, None] * lam
+            continue
+        vols, grads = barycentric_gradients(K, chunk)
+        local = _local_products(p, grads, lam[None], vols)
+        if D is None:
+            out[chunk] = local
+        else:
+            np.matmul(D.T @ local, D, out=out[chunk])
+    return out
 
 
 def _local_coboundary(k: int, q: int):
@@ -145,8 +174,7 @@ def stiffness(K: SimplicialComplex, q: int):
     if q == K.dim:
         return sparse.csr_matrix((K.n_simplices(q),) * 2)
     D = _local_coboundary(K.dim, q)
-    local = D.T @ _volume_products(K, q + 1) @ D
-    return _scatter(K, q, slice(None), local)
+    return _scatter(K, q, slice(None), _volume_products(K, q + 1, D))
 
 
 def tangential_trace(K: SimplicialComplex, p: int):
@@ -185,7 +213,7 @@ def normal_trace_form(K: SimplicialComplex, q: int):
     keep = np.arange(d + 1)[None, :] != (d - cols)[:, None]
     lam = (1.0 + np.eye(d + 1)) / (d * (d + 1)) * keep[:, :, None] * keep[:, None, :]
     areas = mesh.simplex_measures(K.vertices, K.simplices[d - 1][fot[tops, cols]])
-    grads = barycentric_gradients(K)[1][tops]
+    grads = barycentric_gradients(K, tops)[1]
     F = _scatter(K, q, tops, _local_products(q, grads, lam, areas))
     if q == d:
         return F

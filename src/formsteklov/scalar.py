@@ -1,7 +1,8 @@
 """Scalar companion solvers: mean-exit time (one Jacobi-preconditioned CG
 solve at every mesh size), mean-value property of harmonic functions, and
 the fourth-order (biharmonic) Steklov eigenvalue.  The P1 stiffness is
-feec.stiffness at degree 0.
+feec.stiffness at degree 0.  Like the feec assembly, the mean-value
+quadrature runs over chunks of feec._CHUNK tops.
 
 Sign conventions: the Laplacian is delta.d (positive on functions, so the
 exit time solves  Delta E = 1, E = 0 on the boundary) and normal
@@ -49,6 +50,7 @@ class ExitTimeResult:
     mean_flux: float
     defect: float            # relative standard deviation of the flux
     vol_ratio: float         # vol_omega / vol_sigma
+    cg_iterations: int       # CG iterations of the interior solve
 
 
 def _scalar_operators(K: mesh.SimplicialComplex):
@@ -72,12 +74,18 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
     load = M0 @ np.ones(n)
     E = np.zeros(n)
     A = stiff[np.ix_(interior, interior)]
+    iterations = 0
+
+    def count(xk):
+        nonlocal iterations
+        iterations += 1
+
     x, info = cg(A, load[interior], rtol=1e-12, maxiter=20000,
-                 M=sparse.diags(1.0 / A.diagonal()))
+                 M=sparse.diags(1.0 / A.diagonal()), callback=count)
     if info != 0:
         raise SingularSystemError(
-            f"exit-time CG did not converge ({len(interior)} interior "
-            f"vertices, info={info})")
+            f"exit-time CG did not converge after {iterations} iterations "
+            f"({len(interior)} interior vertices, info={info})")
     E[interior] = x
     resid = load - stiff @ E
     MS0 = feec.mass_matrix(K.boundary_complex(), 0)
@@ -88,24 +96,26 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
     var = float(flux @ (MS0 @ flux)) / area - mean_flux ** 2
     defect = np.sqrt(max(var, 0.0)) / abs(mean_flux)
     return ExitTimeResult(E=E, flux=flux, mean_flux=mean_flux,
-                          defect=float(defect), vol_ratio=vol / area)
+                          defect=float(defect), vol_ratio=vol / area,
+                          cg_iterations=iterations)
 
 
-def _quadrature_table(C: mesh.SimplicialComplex):
-    """Degree-5 quadrature points of every top simplex of C, flattened to
-    (nt * q, ambient), with the reference weights and the top measures."""
+def _top_means(C: mesh.SimplicialComplex, family):
+    """(len(family), nt) means of each function of ``family`` over each
+    top simplex of C by the degree-5 simplex rule, evaluated one chunk of
+    tops at a time."""
     pts_ref, w_ref = simplex_rule(C.dim, 5)
-    v = C.vertices[C.tops]
-    pts = np.einsum("qk,nkm->nqm", pts_ref[:, 1:], v[:, 1:, :] - v[:, :1, :]) \
-        + v[:, :1, :]
-    return pts.reshape(-1, C.vertices.shape[1]), w_ref, C.top_volumes()
-
-
-def _average(f, table) -> float:
-    """Mean of f over the mesh whose quadrature table is given."""
-    pts, w_ref, vols = table
-    vals = f(pts).reshape(len(vols), -1)
-    return float((vals @ w_ref) @ vols / vols.sum())
+    nt = len(C.tops)
+    means = np.empty((len(family), nt))
+    for start in range(0, nt, feec._CHUNK):
+        chunk = slice(start, start + feec._CHUNK)
+        v = C.vertices[C.tops[chunk]]
+        pts = np.einsum("qk,nkm->nqm", pts_ref[:, 1:], v[:, 1:, :] - v[:, :1, :])
+        pts += v[:, :1, :]
+        pts = pts.reshape(-1, C.vertices.shape[1])
+        for i, f in enumerate(family):
+            means[i, chunk] = f(pts).reshape(len(v), -1) @ w_ref
+    return means
 
 
 def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
@@ -116,12 +126,15 @@ def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
 
     if family is None:
         family = [(name, f) for name, f, _ in harmonic_polynomials(K.dim)]
+    fs = [f for _, f in family]
     bc = K.boundary_complex()
-    volume, boundary = _quadrature_table(K), _quadrature_table(bc)
+    averages = []
+    for C in (K, bc):
+        vols = C.top_volumes()
+        averages.append([float(row @ vols / vols.sum())
+                         for row in _top_means(C, fs)])
     worst = 0.0
-    for _, f in family:
-        va = _average(f, volume)
-        ba = _average(f, boundary)
+    for f, va, ba in zip(fs, *averages):
         scale = float(np.abs(f(bc.vertices)).max())
         worst = max(worst, abs(va - ba) / max(scale, 1e-300))
     return worst

@@ -7,7 +7,8 @@ from scipy.linalg import cholesky
 
 import mass_oracle
 import normal_trace_oracle
-from formsteklov import feec, forms, mesh
+from formsteklov import feec, forms, mesh, scalar
+from formsteklov.errors import DegenerateSimplexError
 
 SPECS = [mesh.disk(2), mesh.ball(1), mesh.annulus(0.5, 1, 1),
          mesh.shell(0.5, 1, 0), mesh.ellipse(1, 0.7, 2), mesh.box(1, 1, 1, 1)]
@@ -151,6 +152,64 @@ def test_p1_stiffness_peak_stays_below_edge_mass_peak():
     stiffness = _traced_peak(lambda: feec.stiffness(K, 0))
     edge_mass = _traced_peak(lambda: feec.mass_matrix(K, 1))
     assert stiffness < edge_mass
+
+
+def _csr_identical(A, B):
+    A, B = A.tocsr(), B.tocsr()
+    return (A.shape == B.shape and np.array_equal(A.data, B.data)
+            and np.array_equal(A.indices, B.indices)
+            and np.array_equal(A.indptr, B.indptr))
+
+
+def _element_matrices(K):
+    out = [feec.normal_trace_form(K, q) for q in range(1, K.dim + 1)]
+    for C in (K, K.boundary_complex()):
+        for p in range(C.dim + 1):
+            out += [feec.mass_matrix(C, p), feec.stiffness(C, p)]
+    return out
+
+
+@pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILIES
+                                  for l in (0, 1)], ids=_level_id)
+def test_assembly_is_independent_of_the_chunk_size(spec, monkeypatch):
+    """Chunks of 7 tops leave a ragged last chunk, and every matrix keeps
+    its bits.  The per-top means of the mean-value gap are taken by BLAS
+    gemv, which rounds the last few rows of each call by another kernel:
+    at 7 they move by rounding only, and chunks of a power of two, like
+    the default, keep the gap's bits."""
+    K = mesh.generate(spec)
+    family = [f for _, f, _ in forms.harmonic_polynomials(K.dim)]
+    complexes = (K, K.boundary_complex())
+    expected = _element_matrices(K)
+    means = [scalar._top_means(C, family) for C in complexes]
+    gap = scalar.mean_value_gap(K)
+    monkeypatch.setattr(feec, "_CHUNK", 7)
+    for A, B in zip(_element_matrices(K), expected, strict=True):
+        assert _csr_identical(A, B)
+    for C, ref in zip(complexes, means):
+        assert (np.abs(scalar._top_means(C, family) - ref).max()
+                <= 1e-14 * np.abs(ref).max())
+    monkeypatch.setattr(feec, "_CHUNK", 16)
+    assert scalar.mean_value_gap(K) == gap
+
+
+@pytest.mark.parametrize("spec", [mesh.disk(1), mesh.ball(1)], ids=str)
+def test_degenerate_top_in_last_chunk_raises(spec, monkeypatch):
+    K = mesh.generate(spec)
+    d, nv = K.dim, len(K.vertices)
+    collinear = np.zeros((d + 1, d))
+    collinear[:, 0] = 5.0 + np.arange(d + 1)
+    bad = mesh.SimplicialComplex(
+        d, np.vstack([K.vertices, collinear]),
+        np.vstack([K.tops, nv + np.arange(d + 1)]), check_orientation=False)
+    monkeypatch.setattr(feec, "_CHUNK", 7)
+    assert len(bad.tops) > 7
+    for p in range(d + 1):
+        with pytest.raises(DegenerateSimplexError):
+            feec.mass_matrix(bad, p)
+    for q in range(d):
+        with pytest.raises(DegenerateSimplexError):
+            feec.stiffness(bad, q)
 
 
 def test_trace_p0_selects_with_positive_sign():

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import biharmonic_oracle
 import exit_time_oracle
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
-from formsteklov import cli, mesh, scalar
+from formsteklov import cli, feec, mesh, scalar
 from formsteklov.errors import ConvergenceError, SingularSystemError
 
 
@@ -49,13 +51,20 @@ def test_exit_time_cg_matches_direct_oracle(spec):
     assert np.abs(E - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+def test_exit_time_counts_cg_iterations():
+    K = mesh.generate(mesh.disk(3))
+    counts = [scalar.mean_exit_time(K).cg_iterations for _ in range(2)]
+    assert counts[0] > 0 and counts[0] == counts[1]
+
+
 def test_exit_time_cg_failure_is_a_singular_system(monkeypatch, tmp_path,
                                                    capsys):
     def stuck(A, b, **kwargs):
         return np.zeros_like(b), 20000
 
     monkeypatch.setattr(scalar, "cg", stuck)
-    with pytest.raises(SingularSystemError, match="info=20000"):
+    with pytest.raises(SingularSystemError,
+                       match="after 0 iterations .* info=20000"):
         scalar.mean_exit_time(mesh.generate(mesh.disk(2)))
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["verify", "--domain", "disk", "--checks", "CHK-MV"])
@@ -91,9 +100,28 @@ def test_mean_value_gap_ellipse_quadratic():
     # avg over the ellipse of x^2 - y^2 is (a^2 - b^2)/4; the boundary
     # average differs, so the gap stays bounded away from zero
     K = mesh.generate(mesh.ellipse(1, 0.7, 3))
-    va = scalar._average(lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2,
-                         scalar._quadrature_table(K))
+    means = scalar._top_means(K, [lambda pts: pts[:, 0] ** 2 - pts[:, 1] ** 2])
+    vols = K.top_volumes()
+    va = means[0] @ vols / vols.sum()
     assert abs(va - (1 - 0.49) / 4) < 2e-3
+
+
+def test_mean_value_gap_peak_stays_below_its_quadrature_table(monkeypatch):
+    """Over sixteen chunks of tops the traced peak of the gap stays below
+    the bytes of the degree-5 points of every tet (nt * 15 * 3 * 8),
+    which the gap used to hold at once."""
+    monkeypatch.setattr(feec, "_CHUNK", 2048)
+    K = mesh.generate(mesh.ball(4))
+    K.boundary_complex()
+    table = len(K.tops) * 15 * 3 * 8
+    assert len(K.tops) == 16 * feec._CHUNK
+    tracemalloc.start()
+    try:
+        scalar.mean_value_gap(K)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < table
 
 
 def _mean_value_gap_per_polynomial(K):
