@@ -240,7 +240,8 @@ def build_parser():
                     "domains and verification of their sharp bounds")
     ap.add_argument("--deterministic", action="store_true",
                     help="accepted for compatibility; every run is serial "
-                         "and bit-reproducible")
+                         "and bit-reproducible at a fixed BLAS thread "
+                         "count")
     sub = ap.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a mesh file")

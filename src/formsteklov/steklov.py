@@ -22,16 +22,19 @@ Lanczos in the semi-inner product of B (Lehoucq, Sorensen & Yang, ARPACK
 Users' Guide, 1998).  S is symmetric and saddle-shaped: its sigma block -M
 is negative definite, the rest only semidefinite.  It is factored without
 pivoting under one symmetric minimum-degree ordering; where that factor
-shows a tiny pivot (or the diagonal has a zero outside sigma), the other
-rows first gain a relative diagonal shift of 1e-8, which makes S
-symmetric quasi-definite and so stably factorable under any symmetric
-ordering (Vanderbei, SIAM J. Optim. 5, 1995).  Every solve is refined
-with the same factor to a backward error of 1e-14 (Higham, Accuracy and
-Stability of Numerical Algorithms, 2002, ch. 12), and the eigenvalues are
-Rayleigh quotients in the exact pencil, so the shift does not reach them.
-Against a pivoted COLAMD LU this halves the fill of a 3-d verify pass,
-and one shell spectrum at level 2 (n = 40k) takes 34-44 s instead of
-138-149 s (2-core VM, one BLAS thread).
+fails a probe solve (S^-1 (S v) off v by more than 1e-6 for a seeded v)
+or the diagonal has a zero outside sigma, it is freed and the other rows
+gain a relative diagonal shift of 1e-8, which makes S symmetric
+quasi-definite and so stably factorable under any symmetric ordering
+(Vanderbei, SIAM J. Optim. 5, 1995).  One factor is alive at a time, and
+its L and U are never read: SciPy would keep CSC copies of both.  Every
+solve is refined with the same factor to a backward error of 1e-14
+(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 12),
+and the eigenvalues are Rayleigh quotients in the exact pencil, so the
+shift does not reach them.  Against a pivoted COLAMD LU this halves the
+nonzeros of L and U of a 3-d verify pass, and one shell spectrum at level
+2 (n = 40k) takes 34-44 s instead of 138-149 s (2-core VM, one BLAS
+thread).
 """
 
 from dataclasses import dataclass
@@ -49,7 +52,7 @@ from .linalg import symmetric_lu
 
 _SHIFT = -1.0
 _RESIDUAL_TOL = 1e-8
-_PIVOT_TOL = 1e-12       # relative pivot below which the factor takes _DELTA
+_PROBE_TOL = 1e-6        # forward error above which the factor takes _DELTA
 _DELTA = 1e-8            # quasi-definite diagonal shift of the non-sigma rows
 _REFINE_TOL = 1e-14      # backward error every solve is refined to
 _REFINE_RATE = 0.5       # each refinement step must halve the backward error
@@ -59,9 +62,11 @@ _REFINE_RATE = 0.5       # each refinement step must halve the backward error
 class SpectrumResult:
     """Lowest eigenvalues of one Dirichlet-to-Neumann problem, with the
     work that produced them: pencil size n, boundary size nb, factor fill
-    nnz(L) + nnz(U), the number of triangular solves, the diagonal shift
-    delta of the factor (0 when none) and the worst backward error
-    ||b - S x|| / (||S|| ||x|| + ||b||) of any solve after refinement."""
+    (the entries SuperLU stores for L and U, zeros inside its supernodes
+    included), the number of triangular solves, the diagonal shift delta
+    of the factor (0 when the plain factor passed its probe solve) and the
+    worst backward error ||b - S x|| / (||S|| ||x|| + ||b||) of any solve
+    after refinement."""
 
     degree: int
     dual: bool
@@ -106,25 +111,31 @@ def _coupling(K: mesh.SimplicialComplex, q: int):
 def _factor(S, n_sig, what):
     """Symmetric unpivoted LU of S and the delta it took: when S has a zero
     diagonal outside the n_sig sigma rows, or the plain factor breaks down
-    or shows a pivot below _PIVOT_TOL max|diag S|, the rows after sigma
-    gain _DELTA |S_ii| (_DELTA max|diag S| where S_ii = 0), which makes S
-    symmetric quasi-definite (Gill, Saunders & Shinnerl, SIAM J. Matrix
-    Anal. Appl. 17, 1996)."""
+    or fails its probe solve (forward error of S^-1 (S v) above _PROBE_TOL
+    for a seeded v), the rows after sigma gain _DELTA |S_ii| (_DELTA
+    max|diag S| where S_ii = 0), which makes S symmetric quasi-definite
+    (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996).  The
+    shifted factor is not probed: refinement is its guard."""
     d = np.abs(S.diagonal())
-    scale = float(d.max(initial=0.0))
-    shift = np.where(d > 0, d, scale)
+    shift = np.where(d > 0, d, d.max(initial=0.0))
     shift[:n_sig] = 0.0
     # a zero diagonal outside sigma (the top-degree dual's W block) makes
     # SuperLU pivot off it: 57M fill, not 0.44M, on disk level 5
-    for delta in (0.0, _DELTA) if d[n_sig:].all() else (_DELTA,):
+    if d[n_sig:].all():
         try:
-            lu = symmetric_lu(
-                S + sparse.diags(delta * shift) if delta else S)
+            lu = symmetric_lu(S)
         except RuntimeError:             # an exactly zero pivot
-            continue
-        if np.abs(lu.U.diagonal()).min() > _PIVOT_TOL * scale:
-            return lu, delta
-    raise SingularSystemError(f"singular pencil of {what}")
+            pass
+        else:
+            v = np.random.default_rng(0).normal(size=S.shape[0])
+            if (np.abs(lu.solve(S @ v) - v).max()
+                    <= _PROBE_TOL * np.abs(v).max()):
+                return lu, 0.0
+        lu = None                        # free it before the next factor
+    try:
+        return symmetric_lu(S + sparse.diags(_DELTA * shift)), _DELTA
+    except RuntimeError:
+        raise SingularSystemError(f"singular pencil of {what}") from None
 
 
 def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
@@ -218,7 +229,7 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
         degree=degree, dual=dual, eigenvalues=vals, eigencochains=R @ X,
         kernel_dim=kd, gap_ratio=gap, residuals=res, level=level,
         sym_defect=float(sym_defect), n=n, nb=nb,
-        fill=int(lu.L.nnz + lu.U.nnz), solves=solves, delta=delta,
+        fill=int(lu.nnz), solves=solves, delta=delta,
         solve_residual=worst)
 
 

@@ -172,11 +172,9 @@ def _element_matrices(K):
 @pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILIES
                                   for l in (0, 1)], ids=_level_id)
 def test_assembly_is_independent_of_the_chunk_size(spec, monkeypatch):
-    """Chunks of 7 tops leave a ragged last chunk, and every matrix keeps
-    its bits.  The per-top means of the mean-value gap are taken by BLAS
-    gemv, which rounds the last few rows of each call by another kernel:
-    at 7 they move by rounding only, and chunks of a power of two, like
-    the default, keep the gap's bits."""
+    """Chunks of 7 tops leave a ragged last chunk, and every matrix, every
+    per-top mean of the mean-value quadrature and the gap keep their
+    bits."""
     K = mesh.generate(spec)
     family = [f for _, f, _ in forms.harmonic_polynomials(K.dim)]
     complexes = (K, K.boundary_complex())
@@ -187,9 +185,7 @@ def test_assembly_is_independent_of_the_chunk_size(spec, monkeypatch):
     for A, B in zip(_element_matrices(K), expected, strict=True):
         assert _csr_identical(A, B)
     for C, ref in zip(complexes, means):
-        assert (np.abs(scalar._top_means(C, family) - ref).max()
-                <= 1e-14 * np.abs(ref).max())
-    monkeypatch.setattr(feec, "_CHUNK", 16)
+        assert np.array_equal(scalar._top_means(C, family), ref)
     assert scalar.mean_value_gap(K) == gap
 
 

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import biharmonic_oracle
@@ -136,13 +139,17 @@ def _mean_value_gap_per_polynomial(K):
                         v[:, 1:, :] - v[:, :1, :]) + v[:, :1, :]
         vols = C.top_volumes()
         vals = f(pts.reshape(-1, C.vertices.shape[1])).reshape(len(vols), -1)
-        return float((vals @ w_ref) @ vols / vols.sum())
+        means = np.zeros(len(vols))
+        for q, w in enumerate(w_ref):
+            means += w * vals[:, q]
+        return float((means * vols).sum() / vols.sum()), np.abs(vals).max()
 
     bc = K.boundary_complex()
     worst = 0.0
     for _, f, _ in harmonic_polynomials(K.dim):
-        gap = abs(average(K, f) - average(bc, f))
-        worst = max(worst, gap / max(float(np.abs(f(bc.vertices)).max()), 1e-300))
+        (va, _), (ba, peak) = average(K, f), average(bc, f)
+        scale = max(float(np.abs(f(bc.vertices)).max()), peak)
+        worst = max(worst, abs(va - ba) / max(scale, 1e-300))
     return worst
 
 
@@ -151,6 +158,33 @@ def _mean_value_gap_per_polynomial(K):
 def test_mean_value_gap_matches_per_polynomial_reference(spec):
     K = mesh.generate(spec)
     assert scalar.mean_value_gap(K) == _mean_value_gap_per_polynomial(K)
+
+
+@pytest.mark.parametrize("spec", [mesh.ball(0), mesh.ball(1),
+                                  mesh.ellipsoid(1, 0.8, 0.6, 0),
+                                  mesh.shell(0.5, 1, 0)], ids=str)
+def test_mean_value_gap_of_coarse_mesh_stays_relative(spec):
+    """On these meshes a harmonic polynomial vanishes at every boundary
+    vertex; scaled by its largest value at the boundary quadrature points
+    its gap stays a relative gap (it was rounding noise times 1e300)."""
+    assert 0.0 <= scalar.mean_value_gap(mesh.generate(spec)) < 0.1
+
+
+def test_mean_value_gap_is_independent_of_blas_threads():
+    """Ball level 4 has 32,768 tets, enough for OpenBLAS to split a dot
+    product over two threads and round it differently."""
+    code = ("from formsteklov import mesh, scalar; print(repr("
+            "scalar.mean_value_gap(mesh.generate(mesh.ball(4)))))")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    gaps = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        gaps.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                   capture_output=True, text=True,
+                                   check=True).stdout)
+    assert gaps[0] == gaps[1] != ""
 
 
 def test_biharmonic_disk_and_ball():

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
@@ -218,8 +220,8 @@ def test_small_boundary_caps_lanczos_basis(monkeypatch):
 
 def test_shifted_factor_matches_dense_oracle():
     """On shell level 1 the plain factors of primal p = 2 and dual p = 1
-    show tiny pivots (the top-degree dual of every family takes the shift
-    for its zero diagonal block); with refinement and Rayleigh quotients
+    fail their probe solves (the top-degree dual of every family takes the
+    shift for its zero diagonal block); with refinement and Rayleigh quotients
     no trace of the shift is left in the eigenvalues (Lanczos values of
     the refined factor were 3e-12 off)."""
     K = mesh.generate(mesh.shell(0.5, 1, 1))
@@ -288,6 +290,47 @@ def test_box_level3_coboundary_stiffness_keeps_unshifted_factors():
     K = mesh.generate(mesh.box(1, 1, 1, 3))
     assert steklov.solve_primal(K, 1).delta == 0.0
     assert steklov.dual_spectrum(K, 0).delta == 0.0
+
+
+class _BareFactor:
+    """A SuperLU factor that refuses .L and .U: SciPy builds CSC copies of
+    both on the first access to either and keeps them on the factor."""
+
+    def __init__(self, lu):
+        self._lu = lu
+
+    def __getattr__(self, name):
+        if name in ("L", "U"):
+            raise AssertionError(f"SuperLU.{name} read")
+        return getattr(self._lu, name)
+
+
+def test_spectra_never_read_the_triangular_factors(monkeypatch):
+    true_lu = steklov.symmetric_lu
+    monkeypatch.setattr(steklov, "symmetric_lu",
+                        lambda S: _BareFactor(true_lu(S)))
+    K = mesh.generate(mesh.box(1, 1, 1, 2))
+    for p in range(3):
+        for r in (steklov.solve_primal(K, p), steklov.dual_spectrum(K, p)):
+            assert r.fill > 0 and r.residuals.max() <= steklov._RESIDUAL_TOL
+
+
+def test_rejected_plain_factor_is_freed_before_the_shifted_one(monkeypatch):
+    """Ellipsoid (1, 0.8, 0.6) level 2, primal p = 2: the plain factor fails
+    its probe solve and is dead before the shifted factor is built, so at
+    most one factor is alive at a time."""
+    true_lu, alive = steklov.symmetric_lu, []
+
+    def tracked(S):
+        assert all(ref() is None for ref in alive), "a factor is alive"
+        lu = _BareFactor(true_lu(S))
+        alive.append(weakref.ref(lu))
+        return lu
+
+    monkeypatch.setattr(steklov, "symmetric_lu", tracked)
+    K = mesh.generate(mesh.ellipsoid(1, 0.8, 0.6, 2))
+    r = steklov.solve_primal(K, 2)
+    assert r.delta == steklov._DELTA and len(alive) == 2
 
 
 @pytest.mark.parametrize("exc", [
