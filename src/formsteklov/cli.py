@@ -2,10 +2,12 @@
 sweeps, and the verification suite with report/plot-data emission.
 
 Exit codes: 0 success (including WARN verdicts), 2 invalid domain
-parameters (each must be finite and positive), ``--levels`` not strictly
-increasing, a spectrum ``--count`` below 1 or ``--degree`` outside
-0..dim-1, an unknown check id or a verify sweep of fewer than three
-levels, 3 solver failure, 4 verification FAIL.
+parameters (each must be finite and positive), a malformed mesh file (a
+non-finite coordinate included), a spectrum run given neither
+``--domain`` nor ``--mesh``, ``--levels`` not strictly increasing, a
+spectrum ``--count`` below 1 or ``--degree`` outside 0..dim-1, an unknown
+check id or a verify sweep of fewer than three levels, 3 solver failure,
+4 verification FAIL.
 """
 
 import argparse
@@ -14,7 +16,7 @@ import json
 import sys
 
 from . import mesh, steklov, verify
-from .errors import FormSteklovError, InvalidDomainError
+from .errors import FormSteklovError, InvalidDomainError, MeshFormatError
 
 
 def _domain_from_args(args) -> mesh.DomainSpec:
@@ -37,21 +39,21 @@ def _domain_from_args(args) -> mesh.DomainSpec:
     raise InvalidDomainError(fam)
 
 
-def _add_domain_flags(p):
-    p.add_argument("--domain", required=True, choices=mesh.FAMILIES)
-    p.add_argument("--a", type=float, default=1.0)
-    p.add_argument("--b", type=float, default=0.7)
-    p.add_argument("--c", type=float, default=0.7)
-    p.add_argument("--rin", type=float, default=0.5)
-    p.add_argument("--rout", type=float, default=1.0)
-    p.add_argument("--lx", type=float, default=1.0)
-    p.add_argument("--ly", type=float, default=1.0)
-    p.add_argument("--lz", type=float, default=1.0)
+_PARAMS = {"a": 1.0, "b": 0.7, "c": 0.7, "rin": 0.5, "rout": 1.0,
+           "lx": 1.0, "ly": 1.0, "lz": 1.0}
+
+
+def _add_domain_flags(p, required=True):
+    p.add_argument("--domain", required=required, choices=mesh.FAMILIES)
+    for name, default in _PARAMS.items():
+        p.add_argument(f"--{name}", type=float, default=default)
 
 
 def _resolved_config(args) -> dict:
+    # without --domain the parameter defaults describe no domain
+    skip = {"func"} | (set(_PARAMS) if args.domain is None else set())
     cfg = {k: v for k, v in sorted(vars(args).items())
-           if k not in ("func",) and v is not None}
+           if k not in skip and v is not None}
     cfg["deterministic"] = bool(getattr(args, "deterministic", False))
     return cfg
 
@@ -78,6 +80,8 @@ def _unordered(levels) -> bool:
 
 
 def cmd_spectrum(args) -> int:
+    if args.domain is None and not args.mesh:
+        return _reject("spectrum needs --domain or --mesh")
     out = {"config": _resolved_config(args)}
     k = args.count
     if k < 1:
@@ -251,7 +255,7 @@ def build_parser():
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("spectrum", help="compute a Steklov spectrum")
-    _add_domain_flags(s)
+    _add_domain_flags(s, required=False)
     s.add_argument("--mesh", help="mesh file instead of a level sweep")
     s.add_argument("--level", type=int, default=None)
     s.add_argument("--levels", type=int, nargs="+", default=None)
@@ -280,7 +284,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except InvalidDomainError as exc:
+    except (InvalidDomainError, MeshFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FormSteklovError as exc:

@@ -665,6 +665,8 @@ def read_mesh(path) -> SimplicialComplex:
         raise MeshFormatError(f"unparsable body: {exc}") from exc
     if verts.shape != (nv, dim) or tops.shape != (nt, dim + 1):
         raise MeshFormatError("vertex or simplex line has wrong arity")
+    if not np.isfinite(verts).all():
+        raise MeshFormatError("non-finite vertex coordinate")
     if tops.min() < 0 or tops.max() >= nv:
         raise MeshFormatError("vertex index out of range")
     return SimplicialComplex(dim, verts, tops)

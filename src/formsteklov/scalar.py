@@ -19,8 +19,9 @@ to w' ranging over harmonic extensions this reads  R phi = (1/mu) phi in
 L^2 of the boundary, where  <R phi, psi> = <W phi, W psi>_Omega  and W is
 the harmonic extension.  Discretely R = H^T M H with H the discrete
 harmonic extension, and mu are the reciprocals of the eigenvalues of
-(R, boundary mass), largest first; R is applied, never formed (see
-biharmonic_spectrum).  The identity holds exactly at the discrete level
+(R, boundary mass), largest first; R is applied, never formed, and the
+boundary eigen-core of linalg finds them as it finds the Steklov spectra
+(see biharmonic_spectrum).  The identity holds exactly at the discrete level
 when the flux is recovered consistently, which is why the flux here is
 never a pointwise gradient sample.
 """
@@ -29,13 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, cg, eigsh)
+from scipy.sparse.linalg import cg
 
 from . import feec, mesh
 from .errors import ConvergenceError, SingularSystemError
-from .linalg import symmetric_lu
+from .linalg import symmetric_lu, top_eigenpairs
 from .quadrature import simplex_rule
 
 _RESIDUAL_TOL = 1e-8
@@ -166,11 +165,10 @@ def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
     R is applied, never formed.  With one factor of the interior stiffness
     S_II, R phi extends phi harmonically (u_B = phi, u_I = -S_II^-1 S_IB
     phi), takes y = M0 u and returns y_B - S_BI S_II^-1 y_I: two solves per
-    vector.  Regular-mode Lanczos in the MS0 inner product (Lehoucq,
-    Sorensen & Yang, ARPACK Users' Guide, 1998) finds the largest theta
-    from a seeded start vector; when k >= nb - 1 the nb columns of R are
-    built and the pencil is solved densely.  Raises ConvergenceError when
-    Lanczos fails or a relative residual
+    vector.  linalg.top_eigenpairs finds the largest theta, by Lanczos in
+    the MS0 inner product or, when k >= nb - 1, densely from the nb
+    columns of R.  Raises ConvergenceError when Lanczos fails or a
+    relative residual
     ||R g - theta MS0 g|| / (theta ||MS0 g||) (infinity norms) exceeds
     _RESIDUAL_TOL.
     """
@@ -189,23 +187,8 @@ def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
         y = M0 @ u
         return y[bv] - S_IB.T @ lu.solve(y[interior])
 
-    if k >= nb - 1:
-        # the boundary has too few directions for a Lanczos basis
-        R = gram(np.eye(nb))
-        theta, G = eigh(0.5 * (R + R.T), MS0.toarray(),
-                        subset_by_index=[nb - k, nb - 1])
-        RG = R @ G
-    else:
-        op = LinearOperator((nb, nb), matvec=gram, dtype=float)
-        MSinv = LinearOperator((nb, nb), matvec=symmetric_lu(MS0).solve,
-                               dtype=float)
-        v0 = np.random.default_rng(0).normal(size=nb)
-        try:
-            theta, G = eigsh(op, k, M=MS0, Minv=MSinv, which="LA", v0=v0)
-        except (ArpackNoConvergence, ArpackError) as exc:
-            raise ConvergenceError(
-                f"Lanczos failed for the {what}: {exc}") from exc
-        RG = gram(G)
+    theta, G = top_eigenpairs(gram, MS0, k, f"the {what}")
+    RG = gram(G)
     MG = MS0 @ G
     res = (np.abs(RG - MG * theta[None, :]).max(axis=0)
            / (np.abs(theta) * np.abs(MG).max(axis=0)))

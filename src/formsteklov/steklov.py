@@ -17,9 +17,11 @@ so that eliminating (sigma, W) leaves  -E^T (P^{-1})_{sigma sigma} E g =
 nu MS g  with  P = [[-M, C_W^T], [C_W, K]].
 
 Both pencils share one eigen-core: one sparse factor of S = A + B (shift
--1, nonsingular whenever the interior block is) drives shift-invert
-Lanczos in the semi-inner product of B (Lehoucq, Sorensen & Yang, ARPACK
-Users' Guide, 1998).  S is symmetric and saddle-shaped: its sigma block -M
+-1, nonsingular whenever the interior block is) applies the boundary
+operator T = MS R S^-1 R^T MS, and the finite eigenpairs are those of
+T g = theta MS g with theta = 1/(nu + 1), the largest theta first; the
+boundary Lanczos of linalg.top_eigenpairs finds them in the MS inner
+product.  S is symmetric and saddle-shaped: its sigma block -M
 is negative definite, the rest only semidefinite.  It is factored without
 pivoting under one symmetric minimum-degree ordering; where that factor
 fails a probe solve (S^-1 (S v) off v by more than 1e-6 for a seeded v)
@@ -41,14 +43,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
-from scipy.linalg import eigh
-from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
-                                 LinearOperator, eigsh)
 
 from . import feec, mesh
 from .errors import (AmbiguousKernelError, ConvergenceError,
                      SingularSystemError)
-from .linalg import symmetric_lu
+from .linalg import symmetric_lu, top_eigenpairs
 
 _SHIFT = -1.0
 _RESIDUAL_TOL = 1e-8
@@ -148,13 +147,15 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     every solve, and each solve is refined with it until its normwise
     backward error ||b - S x|| / (||S|| ||x|| + ||b||) is at most
     _REFINE_TOL (Higham, Accuracy and Stability of Numerical Algorithms,
-    2002, ch. 12).  The eigenvalues are Rayleigh quotients of the vectors
-    in the exact pencil; the eigencochains are g = R x in the boundary
-    ordering, normalized to g^T MS g = 1.  Raises
-    ConvergenceError when Lanczos fails or a relative residual
-    ||A x - nu B x|| / ((||A|| + |nu| ||B||) ||x||) (infinity norms)
-    exceeds _RESIDUAL_TOL, SingularSystemError when the factor is singular
-    or a refinement stops converging.
+    2002, ch. 12).  The largest k theta of  MS R S^-1 R^T MS g = theta MS g
+    give nu = _SHIFT + 1/theta, and one block solve x = S^-1 R^T MS g /
+    theta lifts them to the volume.  The eigenvalues are Rayleigh quotients
+    of x in the exact pencil; the eigencochains are g = R x in the boundary
+    ordering, normalized to g^T MS g = 1.  Raises ConvergenceError when
+    Lanczos fails or a relative residual ||A x - nu B x|| / ((||A|| + |nu|
+    ||B||) ||x||) (infinity norms) exceeds _RESIDUAL_TOL,
+    SingularSystemError when the factor is singular or a refinement stops
+    converging (a NaN backward error included).
     """
     A, R = A.tocsr(), R.tocsr()
     B = (R.T @ MS @ R).tocsr()
@@ -180,36 +181,17 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
             if res <= _REFINE_TOL:
                 worst = max(worst, res)
                 return x
-            if res > _REFINE_RATE * last:
+            if not res <= _REFINE_RATE * last:     # NaN stops here too
                 raise SingularSystemError(
                     f"refinement of {what} stalled at backward error "
                     f"{res:.2e} > {_REFINE_TOL:.0e}: the shifted pencil is "
                     "numerically singular")
             last = res
 
-    if k >= nb - 1:
-        # the B semi-inner product sees only nb directions, too few for a
-        # Lanczos basis: nb solves give T = R (A - _SHIFT B)^{-1} R^T, and
-        # MS T MS g = theta MS g  with  nu = _SHIFT + 1/theta
-        X = solve(R.T.toarray())
-        MSd = MS.toarray()
-        theta, G = eigh(MSd @ (R @ X) @ MSd, MSd)
-        keep = np.argsort(-np.abs(theta), kind="stable")[:k]
-        vals = _SHIFT + 1.0 / theta[keep]
-        X = X @ (MSd @ G[:, keep]) * (vals - _SHIFT)
-    else:
-        op = LinearOperator((n, n), matvec=solve, dtype=float)
-        v0 = np.random.default_rng(0).normal(size=n)
-        try:
-            # a basis wider than nb, the rank of B, breaks down in ARPACK
-            vals, X = eigsh(A, k, M=B, sigma=_SHIFT, OPinv=op, v0=v0,
-                            ncv=min(max(2 * k + 1, 20), nb))
-        except (ArpackNoConvergence, ArpackError) as exc:
-            raise ConvergenceError(
-                f"Lanczos failed for {what}: {exc}") from exc
-        # one purifying solve removes the null(B) components that the
-        # semi-inner product cannot see
-        X = solve(B @ X) * (vals - _SHIFT)
+    theta, G = top_eigenpairs(
+        lambda g: MS @ (R @ solve(R.T @ (MS @ g))), MS, k, what)
+    vals = _SHIFT + 1.0 / theta
+    X = solve(R.T @ (MS @ G)) * (vals - _SHIFT)
     X /= np.sqrt(np.einsum("ij,ij->j", X, B @ X))[None, :]
     # second order in the error of X: the Lanczos values of the refined
     # shifted factor were 3e-12 off on shell level 1, p = 2; these 3e-14
@@ -220,7 +202,7 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     norm_A, norm_B = (float(abs(M).sum(axis=1).max()) for M in (A, B))
     res = (np.abs(r).max(axis=0)
            / ((norm_A + np.abs(vals) * norm_B) * np.abs(X).max(axis=0)))
-    if res.max() > _RESIDUAL_TOL:
+    if not res.max() <= _RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpairs of {what} not converged: relative residual "
             f"{res.max():.2e} > {_RESIDUAL_TOL:.0e}")

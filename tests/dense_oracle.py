@@ -1,5 +1,5 @@
 """Dense Schur reduction of the Dirichlet-to-Neumann pencils: the test
-oracle for the sparse shift-invert path of ``formsteklov.steklov``.
+oracle for the boundary Lanczos path of ``formsteklov.steklov``.
 
 One sparse factorization of the interior block and one solve per boundary
 DOF build the nb x nb reduced matrix; a dense symmetric eigensolve against

@@ -96,11 +96,36 @@ def test_spectrum_from_mesh_file(tmp_path):
     mfile = tmp_path / "m.smesh"
     mesh.write_mesh(mfile, mesh.generate(mesh.disk(2)))
     out = tmp_path / "s.json"
-    rc = cli.main(["spectrum", "--domain", "disk", "--mesh", str(mfile),
+    rc = cli.main(["spectrum", "--mesh", str(mfile),
                    "--degree", "0", "--count", "3", "--out", str(out)])
     assert rc == 0
     data = json.loads(out.read_text())
     assert len(data["spectrum"]["eigenvalues"]) == 3
+    # no domain was given, so no domain parameter is recorded
+    assert not {"domain", "a", "rin", "lx"} & set(data["config"])
+
+
+def test_spectrum_without_domain_or_mesh_exits_2(tmp_path, monkeypatch,
+                                                 capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(steklov, "solve_primal", _no_solve)
+    assert cli.main(["spectrum", "--level", "1"]) == 2
+    assert (capsys.readouterr().err
+            == "error: spectrum needs --domain or --mesh\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("body", ["smesh 2 3 1\nnan 0\n1 0\n0 1\n0 1 2\n",
+                                  "smesh 2 x 1\n"],
+                         ids=["nan-coordinate", "bad-header"])
+def test_spectrum_from_malformed_mesh_exits_2(tmp_path, monkeypatch, capsys,
+                                              body):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.smesh").write_text(body)
+    monkeypatch.setattr(steklov, "solve_primal", _no_solve)
+    assert cli.main(["spectrum", "--mesh", "m.smesh"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_verify_kernel_check_annulus(tmp_path, monkeypatch):

@@ -214,6 +214,16 @@ def test_mesh_io_bad_header(tmp_path):
         mesh.read_mesh(p)
 
 
+@pytest.mark.parametrize("coord", ["nan", "inf", "-inf"])
+def test_mesh_io_non_finite_coordinate(tmp_path, coord):
+    """NaN volumes pass both orientation comparisons, so the reader itself
+    must refuse a non-finite coordinate."""
+    p = tmp_path / "nf.smesh"
+    p.write_text(f"smesh 2 3 1\n{coord} 0\n1 0\n0 1\n0 1 2\n")
+    with pytest.raises(MeshFormatError, match="non-finite"):
+        mesh.read_mesh(p)
+
+
 def test_mesh_io_nonmanifold(tmp_path):
     # a face shared by three tetrahedra
     p = tmp_path / "nm.smesh"

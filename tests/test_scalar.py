@@ -7,10 +7,9 @@ import biharmonic_oracle
 import exit_time_oracle
 import numpy as np
 import pytest
-from scipy.sparse.linalg import ArpackError, ArpackNoConvergence
 
 from formsteklov import cli, feec, mesh, scalar
-from formsteklov.errors import ConvergenceError, SingularSystemError
+from formsteklov.errors import SingularSystemError
 
 
 def test_exit_time_disk():
@@ -284,35 +283,3 @@ def test_box_level4_biharmonic_needs_few_stiffness_solves(monkeypatch):
     assert nb == 1538
     assert 0 < sum(solves) <= 80
     assert abs(mu[0] - 4.49) < 0.01
-
-
-@pytest.mark.parametrize("exc", [
-    ArpackNoConvergence("no convergence", np.zeros(0), np.zeros((0, 0))),
-    ArpackError(-9999)], ids=["no-convergence", "arpack-error"])
-def test_biharmonic_lanczos_failure_is_a_convergence_error(
-        monkeypatch, tmp_path, capsys, exc):
-    def fail(*args, **kwargs):
-        raise exc
-
-    monkeypatch.setattr(scalar, "eigsh", fail)
-    K = mesh.generate(mesh.disk(2))
-    with pytest.raises(ConvergenceError, match="Lanczos failed"):
-        scalar.biharmonic_spectrum(K, 1)
-    monkeypatch.chdir(tmp_path)
-    rc = cli.main(["verify", "--domain", "disk", "--checks", "CHK-BIH"])
-    assert rc == 3
-    assert "biharmonic" in capsys.readouterr().err
-
-
-def test_biharmonic_large_residual_is_a_convergence_error(monkeypatch):
-    true_eigsh = scalar.eigsh
-
-    def off(*args, **kwargs):
-        vals, vecs = true_eigsh(*args, **kwargs)
-        noise = np.random.default_rng(1).normal(size=vecs.shape)
-        return vals, vecs + 1e-3 * np.abs(vecs).max() * noise
-
-    monkeypatch.setattr(scalar, "eigsh", off)
-    K = mesh.generate(mesh.disk(2))
-    with pytest.raises(ConvergenceError, match="residual"):
-        scalar.biharmonic_spectrum(K, 1)
