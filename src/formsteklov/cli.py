@@ -1,13 +1,16 @@
 """Command-line surface: mesh generation, spectrum computation with level
 sweeps, and the verification suite with report/plot-data emission.
 
+A single ``verify --levels L`` sweeps the four levels ending at L.
+
 Exit codes: 0 success (including WARN verdicts), 2 invalid domain
 parameters (each must be finite and positive), a malformed mesh file (a
-non-finite coordinate included), a spectrum run given neither
-``--domain`` nor ``--mesh``, ``--levels`` not strictly increasing, a
-spectrum ``--count`` below 1 or ``--degree`` outside 0..dim-1, an unknown
-check id or a verify sweep of fewer than three levels, 3 solver failure,
-4 verification FAIL.
+non-finite coordinate, an inverted or degenerate top simplex or a
+non-manifold face included), a file that cannot be read or written, a
+spectrum run given neither ``--domain`` nor ``--mesh``, ``--levels`` not
+strictly increasing, a spectrum ``--count`` below 1 or ``--degree``
+outside 0..dim-1, an unknown check id or a verify sweep of fewer than
+three levels, 3 solver failure, 4 verification FAIL.
 """
 
 import argparse
@@ -20,23 +23,8 @@ from .errors import FormSteklovError, InvalidDomainError, MeshFormatError
 
 
 def _domain_from_args(args) -> mesh.DomainSpec:
-    fam = args.domain
-    level = args.level if hasattr(args, "level") and args.level is not None else 0
-    if fam == "disk":
-        return mesh.disk(level)
-    if fam == "ball":
-        return mesh.ball(level)
-    if fam == "ellipse":
-        return mesh.ellipse(args.a, args.b, level)
-    if fam == "ellipsoid":
-        return mesh.ellipsoid(args.a, args.b, args.c, level)
-    if fam == "annulus":
-        return mesh.annulus(args.rin, args.rout, level)
-    if fam == "shell":
-        return mesh.shell(args.rin, args.rout, level)
-    if fam == "box":
-        return mesh.box(args.lx, args.ly, args.lz, level)
-    raise InvalidDomainError(fam)
+    params = [getattr(args, name) for name in mesh.PARAMS[args.domain]]
+    return mesh.DomainSpec(args.domain, params, getattr(args, "level", 0) or 0)
 
 
 _PARAMS = {"a": 1.0, "b": 0.7, "c": 0.7, "rin": 0.5, "rout": 1.0,
@@ -159,7 +147,7 @@ def _write_csv_tables(report, prefix):
     return [s for s in rows]
 
 
-def _write_svg(studies, path, width=640, height=400):
+def _write_svg(studies, path):
     """Minimal static SVG line chart: level vs value, one polyline per
     tracked quantity (no external plotting stack)."""
     studies = [s for s in studies if len(s.values) >= 2][:12]
@@ -170,7 +158,7 @@ def _write_svg(studies, path, width=640, height=400):
     lo, hi = min(vs), max(vs)
     if hi - lo < 1e-12:
         hi = lo + 1.0
-    pad = 48
+    width, height, pad = 640, 400, 48
     def px(l):
         return pad + (width - 2 * pad) * (l - xs[0]) / max(xs[-1] - xs[0], 1)
     def py(v):
@@ -206,13 +194,11 @@ def cmd_verify(args) -> int:
     spec = _domain_from_args(args)
     if _unordered(args.levels):
         return _reject("--levels must be strictly increasing")
-    if args.levels and len(args.levels) > 1:
-        levels = args.levels
-    elif (args.levels and len(args.levels) == 1) or args.max_level is not None:
-        top = args.levels[0] if args.levels else args.max_level
+    if args.levels and len(args.levels) == 1:
+        top = args.levels[0]
         levels = list(range(max(0, top - 3), top + 1))
     else:
-        levels = verify.default_levels(spec)
+        levels = args.levels or verify.default_levels(spec)
     if len(levels) < 3:
         return _reject(f"verify needs at least 3 levels for Richardson "
                        f"extrapolation, got {levels}")
@@ -267,11 +253,10 @@ def build_parser():
 
     v = sub.add_parser("verify", help="run verification checks")
     _add_domain_flags(v)
-    v.add_argument("--levels", type=int, nargs="+", default=None)
-    v.add_argument("--max-level", type=int, default=None,
-                   help="use the four levels ending here, or levels 0 up "
-                        "to here when it is below 3; at least 2, since "
-                        "extrapolation needs three levels")
+    v.add_argument("--levels", type=int, nargs="+", default=None,
+                   help="the levels to sweep; one value L stands for the "
+                        "four levels ending at L (levels 0..L when L < 3), "
+                        "and at least three levels are needed")
     v.add_argument("--checks", default=None,
                    help="comma-separated check ids (default: all)")
     v.add_argument("--report", default=None, help="output file prefix")
@@ -284,7 +269,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidDomainError, MeshFormatError) as exc:
+    except (InvalidDomainError, MeshFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FormSteklovError as exc:

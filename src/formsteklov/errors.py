@@ -10,19 +10,20 @@ class InvalidDomainError(FormSteklovError):
 
 
 class MeshFormatError(FormSteklovError):
-    """A mesh file has a malformed header or body."""
+    """A mesh file has a malformed header or body; its subclasses flag
+    meshes whose geometry or topology is unusable."""
 
 
-class NonManifoldError(FormSteklovError):
+class NonManifoldError(MeshFormatError):
     """A codimension-one simplex is shared by more than two top simplices,
     or the boundary complex is not closed."""
 
 
-class OrientationError(FormSteklovError):
+class OrientationError(MeshFormatError):
     """A top simplex has non-positive signed volume."""
 
 
-class DegenerateSimplexError(FormSteklovError):
+class DegenerateSimplexError(MeshFormatError):
     """A simplex has (numerically) zero volume."""
 
 
@@ -37,10 +38,6 @@ class QuadratureError(FormSteklovError):
 
 class UnknownCheckError(FormSteklovError):
     """Unknown verification check identifier."""
-
-
-class AmbiguousKernelError(FormSteklovError):
-    """No clear spectral gap separates near-zero eigenvalues from the rest."""
 
 
 class ConvergenceError(FormSteklovError):

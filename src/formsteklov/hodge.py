@@ -25,22 +25,15 @@ class BoundarySpectrum:
     n_components: int
 
 
-def laplace_beltrami_spectrum(bc: mesh.BoundaryComplex, k: int = 12) -> np.ndarray:
-    """Ascending eigenvalues of the scalar Laplacian on the boundary
-    complex (Galerkin stiffness against mass, intrinsic metric)."""
+def boundary_spectrum(K: mesh.SimplicialComplex, k: int = 12) -> BoundarySpectrum:
+    """Lowest k eigenvalues of the scalar Laplacian on the boundary complex
+    (Galerkin stiffness against mass, intrinsic metric), with
+    per-component bookkeeping."""
+    bc = K.boundary_complex()
     stiff = feec.stiffness(bc, 0).toarray()
     M0 = feec.mass_matrix(bc, 0).toarray()
-    n = stiff.shape[0]
-    k = min(k, n)
     vals = eigh(0.5 * (stiff + stiff.T), M0, eigvals_only=True,
-                subset_by_index=[0, k - 1])
-    return vals
-
-
-def boundary_spectrum(K: mesh.SimplicialComplex, k: int = 12) -> BoundarySpectrum:
-    """Scalar spectrum of the boundary with per-component bookkeeping."""
-    bc = K.boundary_complex()
-    vals = laplace_beltrami_spectrum(bc, k=k)
+                subset_by_index=[0, min(k, stiff.shape[0]) - 1])
     n_comp = len(bc.components())
     # one zero mode per component; the first positive one follows
     return BoundarySpectrum(eigenvalues=vals, lambda1=float(vals[n_comp]),

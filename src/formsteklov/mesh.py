@@ -30,9 +30,11 @@ from .errors import (
     OrientationError,
 )
 
-_FAMILIES_2D = ("disk", "ellipse", "annulus")
-_FAMILIES_3D = ("ball", "ellipsoid", "shell", "box")
-FAMILIES = _FAMILIES_2D + _FAMILIES_3D
+# family -> names of its metric parameters, in DomainSpec.params order
+PARAMS = {"disk": (), "ellipse": ("a", "b"), "annulus": ("rin", "rout"),
+          "ball": (), "ellipsoid": ("a", "b", "c"), "shell": ("rin", "rout"),
+          "box": ("lx", "ly", "lz")}
+FAMILIES = tuple(PARAMS)
 
 
 @dataclass(frozen=True)
@@ -50,8 +52,7 @@ class DomainSpec:
             raise InvalidDomainError("level must be >= 0")
         p = tuple(float(x) for x in self.params)
         object.__setattr__(self, "params", p)
-        expected = {"disk": 0, "ball": 0, "ellipse": 2, "annulus": 2,
-                    "ellipsoid": 3, "shell": 2, "box": 3}[self.family]
+        expected = len(PARAMS[self.family])
         if len(p) != expected:
             raise InvalidDomainError(
                 f"{self.family} takes {expected} parameters, got {len(p)}")
@@ -67,7 +68,7 @@ class DomainSpec:
 
     @property
     def dim(self) -> int:
-        return 2 if self.family in _FAMILIES_2D else 3
+        return 2 if self.family in ("disk", "ellipse", "annulus") else 3
 
     def with_level(self, level: int) -> "DomainSpec":
         return DomainSpec(self.family, self.params, level)
@@ -232,9 +233,6 @@ class SimplicialComplex:
         if self.ambient == self.dim:
             return _signed_volumes(self.vertices, self.tops)
         return simplex_measures(self.vertices, self.tops)
-
-    def euler_characteristic(self) -> int:
-        return int(sum((-1) ** k * self.n_simplices(k) for k in range(self.dim + 1)))
 
     # -- boundary -----------------------------------------------------------
 

@@ -45,8 +45,7 @@ import numpy as np
 from scipy import sparse
 
 from . import feec, mesh
-from .errors import (AmbiguousKernelError, ConvergenceError,
-                     SingularSystemError)
+from .errors import ConvergenceError, SingularSystemError
 from .linalg import symmetric_lu, top_eigenpairs
 
 _SHIFT = -1.0
@@ -225,16 +224,6 @@ def _kernel_count(vals: np.ndarray, threshold: float):
         above = abs(vals[kd]) if kd < len(vals) else float("inf")
         gap = above / max(below, 1e-300)
     return kd, float(gap)
-
-
-def kernel_dimension(res: SpectrumResult, threshold: float = 1e-9) -> int:
-    """Count of eigenvalues below threshold * max(1, nu_k); raises when no
-    factor-100 gap separates the counted values from the rest."""
-    kd, gap = _kernel_count(res.eigenvalues, threshold)
-    if gap < 100.0:
-        raise AmbiguousKernelError(
-            f"kernel count {kd} ambiguous (gap ratio {gap:.3g})")
-    return kd
 
 
 def solve_primal(K: mesh.SimplicialComplex, p: int, k: int = 8,

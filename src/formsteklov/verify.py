@@ -202,12 +202,14 @@ def _eigen_study(quantity, levels, vals, in_kernel):
     return study.extrapolated, study.error_bar, study
 
 
+_K_EIGEN = 8     # eigenvalues computed per spectrum
+
+
 class Lab:
     """Memoizing provider of meshes, spectra and derived quantities, keyed
     on the exact domain parameters (never on the rounded report label)."""
 
-    def __init__(self, k_eigen: int = 8):
-        self.k_eigen = k_eigen
+    def __init__(self):
         self._cache = {}
 
     def _get(self, key, fn):
@@ -233,13 +235,13 @@ class Lab:
         return self._get(
             ("primal", spec.family, spec.params, level, p),
             lambda: steklov.solve_primal(self.mesh(spec, level), p,
-                                         k=self.k_eigen, level=level))
+                                         k=_K_EIGEN, level=level))
 
     def dual(self, spec, level, p) -> steklov.SpectrumResult:
         return self._get(
             ("dual", spec.family, spec.params, level, p),
             lambda: steklov.dual_spectrum(self.mesh(spec, level), p,
-                                          k=self.k_eigen, level=level))
+                                          k=_K_EIGEN, level=level))
 
     def exit_time(self, spec, level) -> scalar.ExitTimeResult:
         return self._get(("exit", spec.family, spec.params, level),
@@ -258,11 +260,6 @@ class Lab:
         return self._get(
             ("lam1", spec.family, spec.params, level),
             lambda: hodge.boundary_spectrum(self.mesh(spec, level), 8).lambda1)
-
-    def field_norm(self, spec, key, fieldfn, what) -> float:
-        return self._get(
-            ("fieldnorm", spec.family, spec.params, key, what),
-            lambda: feec.integrate_analytic(spec, fieldfn(), what))
 
     # -- extrapolated quantities -------------------------------------------
 
@@ -514,23 +511,18 @@ def _chk_iso_pair(lab, spec, levels):
     return out
 
 
-def _field_samples(spec):
-    """Sampled harmonic fields: one parallel form per degree and two
-    differentials of harmonic polynomials."""
-    dim = spec.dim
-    samples = []
-    for p in range(1, dim + 1):
-        idx = tuple(range(p))
-        samples.append((f"parallel {p}-form",
-                        lambda idx=idx: forms.parallel_form(dim, idx), p, True))
+def _field_samples(dim):
+    """Sampled harmonic fields (key, field, degree, parallel?): one
+    parallel form per degree and two differentials of harmonic
+    polynomials."""
+    samples = [(f"parallel {p}-form", forms.parallel_form(dim, range(p)), p,
+                True) for p in range(1, dim + 1)]
     grads_of = {name: grads
                 for name, _, grads in forms.harmonic_polynomials(dim)}
     chosen = ("Re z^2", "Im z^4") if dim == 2 else ("z", "z(2z2-3x2-3y2)")
-    for name in chosen:
-        grads = grads_of[name]
-        samples.append((f"d({name})",
-                        lambda grads=grads, name=name:
-                        forms.gradient_field(dim, grads, name=name), 1, False))
+    samples += [(f"d({name})", forms.gradient_field(dim, grads_of[name],
+                                                    name=name), 1, False)
+                for name in chosen]
     return samples
 
 
@@ -538,10 +530,9 @@ def _chk_field(lab, spec, levels):
     n = spec.dim - 1
     b = lab.betti(spec)
     out = []
-    for key, fieldfn, p, is_parallel in _field_samples(spec):
-        vol = lab.field_norm(spec, key, fieldfn, "vol_norm")
-        nor = lab.field_norm(spec, key, fieldfn, "nor_norm")
-        tan = lab.field_norm(spec, key, fieldfn, "tan_norm")
+    for key, fld, p, is_parallel in _field_samples(spec.dim):
+        vol = feec.integrate_analytic(spec, fld, "vol_norm")
+        nor = feec.integrate_analytic(spec, fld, "nor_norm")
         # exact branch: the field is exact by construction
         if p >= 2:
             nu, eb, st = lab.nu(spec, levels, p - 1)
@@ -558,6 +549,7 @@ def _chk_field(lab, spec, levels):
                 out.append(_skip("CHK-FIELD", spec, f"{key}: co-exact",
                                  f"b_{n} = {b[n]} obstructs co-exactness"))
             else:
+                tan = feec.integrate_analytic(spec, fld, "tan_norm")
                 nu2, eb2, st2 = lab.nu(spec, levels, n - p)
                 out.append(_bound("CHK-FIELD", spec,
                                   f"{key}: co-exact, nu[1,{n - p}]", tan,

@@ -128,6 +128,38 @@ def test_spectrum_from_malformed_mesh_exits_2(tmp_path, monkeypatch, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+# an inverted top, a zero-volume top, an edge shared by three triangles
+@pytest.mark.parametrize("body", [
+    "smesh 2 3 1\n0 0\n1 0\n0 1\n0 2 1\n",
+    "smesh 2 3 1\n0 0\n1 0\n2 0\n0 1 2\n",
+    "smesh 2 5 3\n0 0\n1 0\n0.5 1\n0.5 2\n0.5 -1\n0 1 2\n0 1 3\n1 0 4\n"],
+    ids=["inverted", "zero-volume", "non-manifold"])
+def test_spectrum_from_bad_geometry_mesh_exits_2(tmp_path, monkeypatch,
+                                                 capsys, body):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "m.smesh").write_text(body)
+    monkeypatch.setattr(steklov, "solve_primal", _no_solve)
+    assert cli.main(["spectrum", "--mesh", "m.smesh"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--mesh", "missing.smesh"],
+    ["gen", "--domain", "disk", "--out", "missing-dir/x.smesh"],
+    ["spectrum", "--domain", "disk", "--level", "0",
+     "--out", "missing-dir/s.json"],
+    ["verify", "--domain", "disk", "--levels", "1", "2", "3",
+     "--checks", "CHK-KER", "--report", "missing-dir/r"]],
+    ids=["spectrum-mesh", "gen-out", "spectrum-out", "verify-report"])
+def test_bad_file_path_exits_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "missing" in err
+
+
 def test_verify_kernel_check_annulus(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     rc = cli.main(["verify", "--domain", "annulus", "--rin", "0.5",
@@ -161,7 +193,7 @@ def test_verify_outputs_deterministic(tmp_path, monkeypatch):
 def test_verify_with_fewer_than_three_levels_exits_2(tmp_path, monkeypatch,
                                                      capsys):
     monkeypatch.chdir(tmp_path)
-    for levels in (["--max-level", "1"], ["--levels", "3", "4"]):
+    for levels in (["--levels", "1"], ["--levels", "3", "4"]):
         rc = cli.main(["verify", "--domain", "disk", *levels,
                        "--checks", "CHK-EQ1"])
         assert rc == 2

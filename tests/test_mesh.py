@@ -161,7 +161,7 @@ def test_betti_and_euler(spec):
     K = mesh.generate(spec)
     b = mesh.betti(K)
     assert b == EXPECTED_BETTI[spec.label()]
-    chi = K.euler_characteristic()
+    chi = sum((-1) ** k * K.n_simplices(k) for k in range(K.dim + 1))
     assert chi == sum((-1) ** k * bk for k, bk in enumerate(b))
 
 

@@ -6,7 +6,7 @@ from scipy.sparse.linalg import LinearOperator
 
 import dense_oracle
 from formsteklov import cli, feec, linalg, mesh, steklov
-from formsteklov.errors import AmbiguousKernelError, SingularSystemError
+from formsteklov.errors import SingularSystemError
 
 
 def disk_steklov_oracle(count):
@@ -96,17 +96,8 @@ def test_constants_in_p0_kernel():
 def test_kernel_dimension_matches_betti(spec, p, expected):
     K = mesh.generate(spec)
     r = steklov.solve_primal(K, p, k=expected + 4)
-    assert steklov.kernel_dimension(r) == expected
+    assert r.kernel_dim == expected
     assert r.gap_ratio >= 100.0
-
-
-def test_kernel_ambiguity_flagged():
-    r = steklov.SpectrumResult(
-        degree=0, dual=False, eigenvalues=np.array([1e-11, 5e-10, 1.0]),
-        eigencochains=None, kernel_dim=2, gap_ratio=1.0,
-        residuals=np.zeros(3))
-    with pytest.raises(AmbiguousKernelError):
-        steklov.kernel_dimension(r, threshold=1e-10)
 
 
 def test_scaling_law_radius():

@@ -83,6 +83,36 @@ def test_kernel_check_annulus():
     assert by_case["p=1"].lhs == 1.0 and by_case["p=1"].rhs == 1.0
 
 
+def test_kernel_check_can_fail():
+    """CHK-KER requires a factor-100 gap above the counted kernel: with
+    every gap ratio forced to 1, each disk row fails."""
+    lab = verify.Lab()
+    rows = verify.run_check("CHK-KER", mesh.disk(), levels=[1, 2, 3], lab=lab)
+    assert [r.verdict for r in rows] == [verify.PASS, verify.PASS]
+    primal = lab.primal
+    lab.primal = lambda spec, level, p: dataclasses.replace(
+        primal(spec, level, p), gap_ratio=1.0)
+    rows = verify.run_check("CHK-KER", mesh.disk(), levels=[1, 2, 3], lab=lab)
+    assert [r.verdict for r in rows] == [verify.FAIL, verify.FAIL]
+
+
+def test_dual_check_can_fail():
+    """Halving every dual eigenvalue turns the disk's CHK-DUAL row from
+    PASS to FAIL."""
+    lab = verify.Lab()
+    (row,) = verify.run_check("CHK-DUAL", mesh.disk(), lab=lab)
+    assert row.verdict == verify.PASS
+    dual = lab.dual
+
+    def halved(spec, level, p):
+        r = dual(spec, level, p)
+        return dataclasses.replace(r, eigenvalues=0.5 * r.eigenvalues)
+
+    lab.dual = halved
+    (row,) = verify.run_check("CHK-DUAL", mesh.disk(), lab=lab)
+    assert row.verdict == verify.FAIL and row.margin < 0
+
+
 def test_hypothesis_violations_skip_not_fail():
     lab = verify.Lab()
     for cid in ("CHK-LOW-A", "CHK-LOW-B", "CHK-MONO", "CHK-ESC", "CHK-EQ1",
