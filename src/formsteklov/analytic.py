@@ -187,8 +187,3 @@ def integrate_volume(spec, integrand, tol=_TOL):
 
         total += adaptive_tensor(f, ranges, tol=tol)
     return total
-
-
-def boundary_measure(spec):
-    return integrate_boundary(spec, lambda pts, nrm: np.ones(len(pts)))
-

@@ -142,19 +142,6 @@ def _volume_products(K: SimplicialComplex, p: int, D=None):
     return out
 
 
-def _local_coboundary(k: int, q: int):
-    """Incidence of the local (q+1)-faces of a k-simplex on its local
-    q-faces, both in combination order: (-1)^a where the q-face drops
-    position a."""
-    faces = list(itertools.combinations(range(k + 1), q + 1))
-    cofaces = list(itertools.combinations(range(k + 1), q + 2))
-    D = np.zeros((len(cofaces), len(faces)))
-    for r, tau in enumerate(cofaces):
-        for a in range(q + 2):
-            D[r, faces.index(tau[:a] + tau[a + 1:])] = (-1) ** a
-    return D
-
-
 def mass_matrix(K: SimplicialComplex, p: int):
     """Whitney p-form mass matrix (symmetric positive definite)."""
     if not 0 <= p <= K.dim:
@@ -173,7 +160,7 @@ def stiffness(K: SimplicialComplex, q: int):
         raise ValueError(f"degree {q} out of range")
     if q == K.dim:
         return sparse.csr_matrix((K.n_simplices(q),) * 2)
-    D = _local_coboundary(K.dim, q)
+    D = mesh.local_coboundary(K.dim, q)
     return _scatter(K, q, slice(None), _volume_products(K, q + 1, D))
 
 

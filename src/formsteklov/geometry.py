@@ -10,7 +10,6 @@ curvatures w.r.t. the inner normal of the domain are negative.
 import math
 from dataclasses import dataclass
 
-from . import analytic
 from .errors import InvalidDomainError
 from .mesh import DomainSpec
 
@@ -28,16 +27,33 @@ class GeometryReport:
     convex: bool
 
 
+def _ellipsoid_area(a, b, c):
+    """Surface area of the ellipsoid a >= b >= c by Legendre's formula
+    (DLMF 19.33.2)."""
+    if a == c:
+        return 4 * math.pi * a ** 2
+    from scipy.special import ellipeinc, ellipkinc
+
+    phi = math.acos(c / a)
+    m = a ** 2 * (b ** 2 - c ** 2) / (b ** 2 * (a ** 2 - c ** 2))
+    s = math.sin(phi)
+    return 2 * math.pi * (c ** 2 + a * b / s * (
+        float(ellipeinc(phi, m)) * s ** 2 + float(ellipkinc(phi, m)) * (c / a) ** 2))
+
+
 def analytic_geometry(spec: DomainSpec) -> GeometryReport:
-    """Exact geometry of the smooth benchmark domain (quadratures where no
-    closed form exists: ellipse perimeter, ellipsoid area)."""
+    """Exact geometry of the smooth benchmark domain; the ellipse perimeter
+    and the ellipsoid area are complete and incomplete elliptic
+    integrals."""
     fam, p = spec.family, spec.params
     if fam == "disk":
         return GeometryReport(1, math.pi, 2 * math.pi, 2.0, (1.0,), 1.0, True)
     if fam == "ellipse":
         a, b = p
         vol = math.pi * a * b
-        per = analytic.boundary_measure(spec)
+        from scipy.special import ellipe
+
+        per = 4 * a * float(ellipe(1 - (b / a) ** 2))
         # curvature ab / (a^2 sin^2 t + b^2 cos^2 t)^(3/2): minimal at the
         # minor-axis ends for a >= b
         s1 = b / a ** 2
@@ -54,7 +70,7 @@ def analytic_geometry(spec: DomainSpec) -> GeometryReport:
     if fam == "ellipsoid":
         a, b, c = p
         vol = 4 * math.pi * a * b * c / 3
-        area = analytic.boundary_measure(spec)
+        area = _ellipsoid_area(a, b, c)
         # both minima sit at the c-poles, where the principal curvatures
         # are c/a^2 and c/b^2
         s1, s2 = c / a ** 2, c / a ** 2 + c / b ** 2

@@ -3,8 +3,9 @@
 Deterministic structured generators (no external meshers), uniform
 refinement with boundary snapping, oriented boundary extraction, signed
 incidence (coboundary) matrices, mod-2 Betti numbers, and a plain-text
-file format.  Face tables are found by sorting and searching one packed
-int64 key per vertex row, which orders like the rows themselves.
+file format.  The face tables of the tops are found once, by sorting one
+packed int64 key per vertex row; every incidence (coboundary, boundary,
+parent maps) is gathered from them, never searched for again.
 
 Conventions
 -----------
@@ -173,20 +174,18 @@ class SimplicialComplex:
     vertices : (nv, m) float array
         Vertex coordinates, m >= dim.
     tops : (nt, dim+1) int array
-        Top simplices in stored (orientation-carrying) vertex order.
-    check_orientation : bool
-        Require positive signed volume of every top simplex (only possible
-        when m == dim).
+        Top simplices in stored (orientation-carrying) vertex order; when
+        m == dim each must have positive signed volume.
     """
 
-    def __init__(self, dim, vertices, tops, check_orientation=True):
+    def __init__(self, dim, vertices, tops):
         self.dim = int(dim)
         self.vertices = np.ascontiguousarray(vertices, dtype=float)
         tops = np.ascontiguousarray(tops, dtype=np.int64)
         if tops.shape[1] != self.dim + 1:
             raise MeshFormatError("top simplex width does not match dimension")
         self.ambient = self.vertices.shape[1]
-        if check_orientation and self.ambient == self.dim:
+        if self.ambient == self.dim:
             vols = _signed_volumes(self.vertices, tops)
             if np.any(np.abs(vols) < 1e-14):
                 raise DegenerateSimplexError(
@@ -249,63 +248,39 @@ class SimplicialComplex:
             bad = int(np.argmax(counts))
             raise NonManifoldError(
                 f"(dim-1)-simplex {bad} belongs to {int(counts[bad])} top simplices")
-        self.boundary_faces = np.flatnonzero(counts == 1)
+        # the (top, local face) pair of every boundary face, by face index
+        t, c = np.nonzero(counts[fot] == 1)
+        order = np.argsort(fot[t, c])
+        t, c = t[order], c[order]
+        self.boundary_faces = fot[t, c]
+        # local face c omits local vertex d - c; the outward orientation is
+        # (-1)^(d - c) composed with the parity of the stored vertex order
+        omitted = d - c
+        self.boundary_signs = (np.where(omitted % 2, -1, 1)
+                               * self.face_signs_of_top[d - 1][t, c])
 
-        # induced orientation: omitting local position j of a positive top
-        # contributes (-1)^j, composed with the parity of the stored subsequence
-        nloc = d + 1
-        subsets = list(itertools.combinations(range(nloc), d))
-        omitted = [next(iter(set(range(nloc)) - set(s))) for s in subsets]
-        sign_of_face = np.zeros(self.n_simplices(d - 1), dtype=np.int64)
-        for c, s in enumerate(subsets):
-            js = omitted[c]
-            sgn = (-1) ** js * self.face_signs_of_top[d - 1][:, c]
-            idx = fot[:, c]
-            on_b = counts[idx] == 1
-            sign_of_face[idx[on_b]] = sgn[on_b]
-        self.boundary_signs = sign_of_face[self.boundary_faces]
-
-        # all lower simplices lying on the boundary
+        # all lower simplices lying on the boundary: the local k-faces of
+        # each boundary face, those without its omitted vertex
         bset = [None] * d
         bset[d - 1] = self.boundary_faces
-        bfaces = self.simplices[d - 1][self.boundary_faces]
         for k in range(d - 1):
-            sub = list(itertools.combinations(range(d), k + 1))
-            rows = np.concatenate([bfaces[:, s] for s in sub], axis=0)
-            bset[k] = np.unique(_row_lookup(self.simplices[k], rows))
+            subsets = list(itertools.combinations(range(d + 1), k + 1))
+            without = np.array([[j not in s for s in subsets]
+                                for j in range(d + 1)])
+            gathered = self.faces_of_top[k][t][without[omitted]]
+            bset[k] = np.unique(gathered)
         self.boundary_simplices = bset
 
-        # boundary of the boundary must be closed
-        if d >= 2 and len(self.boundary_faces):
-            srt, _ = _sort_parity(
-                np.concatenate([bfaces[:, s]
-                                for s in itertools.combinations(range(d), d - 1)], axis=0))
-            _, cnt = np.unique(_row_keys(srt, len(self.vertices)),
-                               return_counts=True)
-            if np.any(cnt != 2):
-                raise NonManifoldError("boundary complex is not closed")
+        # boundary of the boundary must be closed: each boundary ridge (the
+        # last k gathered) lies on exactly two boundary faces
+        if d >= 2 and np.any(np.bincount(gathered)[bset[d - 2]] != 2):
+            raise NonManifoldError("boundary complex is not closed")
 
     def boundary_complex(self) -> "BoundaryComplex":
         """The induced complex of the boundary, with parent maps."""
         if self._bc is None:
             self._bc = BoundaryComplex._build(self)
         return self._bc
-
-
-def _row_lookup(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Indices of each query row inside a table of unique rows in
-    lexicographic order; a query row missing from the table raises
-    KeyError."""
-    if len(queries) == 0:
-        return np.zeros(0, dtype=np.int64)
-    nv = int(max(table.max(), queries.max())) + 1
-    tkeys = _row_keys(table, nv)
-    qkeys = _row_keys(queries, nv)
-    pos = np.minimum(np.searchsorted(tkeys, qkeys), len(tkeys) - 1)
-    missing = np.flatnonzero(tkeys[pos] != qkeys)
-    if len(missing):
-        raise KeyError(f"row {queries[missing[0]].tolist()} not in the table")
-    return pos
 
 
 class BoundaryComplex(SimplicialComplex):
@@ -321,7 +296,7 @@ class BoundaryComplex(SimplicialComplex):
     def _build(cls, K: SimplicialComplex):
         d = K.dim
         bfaces = K.simplices[d - 1][K.boundary_faces]
-        used = np.unique(bfaces)
+        used = K.boundary_simplices[0]
         new_of_old = -np.ones(K.n_simplices(0), dtype=np.int64)
         new_of_old[used] = np.arange(len(used))
         tops = new_of_old[bfaces]
@@ -329,18 +304,13 @@ class BoundaryComplex(SimplicialComplex):
         if np.any(flip):
             tops[flip] = np.concatenate(
                 [tops[flip, :-2], tops[flip, -1:], tops[flip, -2:-1]], axis=1)
-        sc = cls(d - 1, K.vertices[used], tops, check_orientation=False)
-        parent_index = [None] * d
-        parent_sign = [None] * d
-        for k in range(d - 1):
-            rows_old = used[sc.simplices[k]]
-            parent_index[k] = _row_lookup(K.simplices[k], rows_old)
-            parent_sign[k] = np.ones(len(rows_old), dtype=np.int64)
-        # top level: stored tuples realize the induced orientation, the parent
-        # stores the ascending tuple
-        srt, sgn = _sort_parity(used[sc.simplices[d - 1]])
-        parent_index[d - 1] = _row_lookup(K.simplices[d - 1], srt)
-        parent_sign[d - 1] = sgn
+        sc = cls(d - 1, K.vertices[used], tops)
+        # the renumbering is monotone, so each lower boundary simplex keeps
+        # its ascending vertex order and its parent's rank; a top is its
+        # boundary face, flipped where the induced orientation is negative
+        parent_index = list(K.boundary_simplices)
+        parent_sign = [np.ones(len(idx), dtype=np.int64)
+                       for idx in parent_index[:-1]] + [K.boundary_signs]
         sc.parent_index = parent_index
         sc.parent_sign = parent_sign
         return sc
@@ -367,30 +337,42 @@ class BoundaryComplex(SimplicialComplex):
 # coboundary and Betti numbers
 
 
+def local_coboundary(k: int, q: int) -> np.ndarray:
+    """Incidence of the local (q+1)-faces of a k-simplex on its local
+    q-faces, both in combination order: (-1)^a where the q-face drops
+    position a."""
+    faces = list(itertools.combinations(range(k + 1), q + 1))
+    cofaces = list(itertools.combinations(range(k + 1), q + 2))
+    D = np.zeros((len(cofaces), len(faces)), dtype=np.int64)
+    for r, tau in enumerate(cofaces):
+        for a in range(q + 2):
+            D[r, faces.index(tau[:a] + tau[a + 1:])] = (-1) ** a
+    return D
+
+
 def coboundary(K: SimplicialComplex, p: int):
     """Signed incidence matrix mapping p-cochains to (p+1)-cochains.
 
-    Entries are -1/0/+1; the sign of face sigma in simplex tau is
-    (-1)^(position of the omitted vertex) composed with the parity of the
-    stored vertex order.  Returns a scipy CSR matrix with integer entries.
+    Each (p+1)-simplex is read off the first top that holds it, as its
+    local coface c: the local incidence of c, composed with the stored
+    face signs of c and of its p-faces in that top.  Entries are -1/0/+1.
+    Returns a scipy CSR matrix with integer entries.
     """
     from scipy import sparse
 
     if not 0 <= p < K.dim:
         raise ValueError(f"coboundary degree {p} out of range for dim {K.dim}")
-    parents = K.simplices[p + 1]
-    n_par, n_fac = len(parents), K.n_simplices(p)
-    w = p + 2
-    rows, cols, vals = [], [], []
-    for j in range(w):
-        sub = parents[:, [i for i in range(w) if i != j]]
-        srt, sgn = _sort_parity(sub)
-        rows.append(np.arange(n_par))
-        cols.append(_row_lookup(K.simplices[p], srt))
-        vals.append((-1) ** j * sgn)
+    cof = K.faces_of_top[p + 1]
+    _, first = np.unique(cof, return_index=True)
+    t, c = divmod(first, cof.shape[1])
+    loc = local_coboundary(K.dim, p)
+    faces = np.nonzero(loc)[1].reshape(len(loc), p + 2)[c]   # (n, p+2) local
+    sign = (K.face_signs_of_top[p + 1][t, c][:, None] * loc[c[:, None], faces]
+            * K.face_signs_of_top[p][t[:, None], faces])
     D = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_par, n_fac), dtype=np.int64)
+        (sign.ravel(), (np.repeat(np.arange(len(t)), p + 2),
+                        K.faces_of_top[p][t[:, None], faces].ravel())),
+        shape=(len(t), K.n_simplices(p)), dtype=np.int64)
     return D.tocsr()
 
 

@@ -29,8 +29,6 @@ never a pointwise gradient sample.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg
 
 from . import feec, mesh
 from .errors import ConvergenceError, SingularSystemError
@@ -64,35 +62,42 @@ def _scalar_operators(K: mesh.SimplicialComplex):
 
 def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
     """Solve Delta E = 1 with zero boundary values by Jacobi-preconditioned
-    conjugate gradients (relative residual 1e-12); recover the flux from
+    conjugate gradients to ||r|| <= 1e-12 ||b||; recover the flux from
     the residual of the boundary rows so that the discrete divergence
     theorem holds exactly (mean flux equals vol/area to solver precision).
-    Raises SingularSystemError when CG does not converge."""
+    Every inner product is a numpy reduction, never a BLAS dot product, so
+    E and the flux do not depend on the BLAS thread count.  Raises
+    SingularSystemError when CG needs more than 20000 iterations."""
     stiff, M0, bv, interior = _scalar_operators(K)
-    n = K.n_simplices(0)
-    load = M0 @ np.ones(n)
-    E = np.zeros(n)
-    A = stiff[np.ix_(interior, interior)]
+    load = M0 @ np.ones(K.n_simplices(0))
+    A, b = stiff[np.ix_(interior, interior)], load[interior]
+    inv_diag = 1.0 / A.diagonal()
+    x, r = np.zeros_like(b), b.copy()
+    p = z = inv_diag * r
+    rho, stop = (r * z).sum(), 1e-12 * np.sqrt((b * b).sum())
     iterations = 0
-
-    def count(xk):
-        nonlocal iterations
+    while not np.sqrt((r * r).sum()) <= stop:     # a NaN residual fails too
+        if iterations == 20000:
+            raise SingularSystemError(
+                f"exit-time CG did not converge after {iterations} iterations "
+                f"({len(interior)} interior vertices)")
+        q = A @ p
+        alpha = rho / (p * q).sum()
+        x += alpha * p
+        r -= alpha * q
+        z = inv_diag * r
+        rho, rho_prev = (r * z).sum(), rho
+        p = z + (rho / rho_prev) * p
         iterations += 1
-
-    x, info = cg(A, load[interior], rtol=1e-12, maxiter=20000,
-                 M=sparse.diags(1.0 / A.diagonal()), callback=count)
-    if info != 0:
-        raise SingularSystemError(
-            f"exit-time CG did not converge after {iterations} iterations "
-            f"({len(interior)} interior vertices, info={info})")
+    E = np.zeros(K.n_simplices(0))
     E[interior] = x
     resid = load - stiff @ E
     MS0 = feec.mass_matrix(K.boundary_complex(), 0)
     flux = symmetric_lu(MS0).solve(resid[bv])
-    area = float(np.ones(len(bv)) @ (MS0 @ np.ones(len(bv))))
+    area = float((MS0 @ np.ones(len(bv))).sum())
     vol = float(K.top_volumes().sum())
-    mean_flux = float(np.ones(len(bv)) @ (MS0 @ flux)) / area
-    var = float(flux @ (MS0 @ flux)) / area - mean_flux ** 2
+    mean_flux = float((MS0 @ flux).sum()) / area
+    var = float((flux * (MS0 @ flux)).sum()) / area - mean_flux ** 2
     defect = np.sqrt(max(var, 0.0)) / abs(mean_flux)
     return ExitTimeResult(E=E, flux=flux, mean_flux=mean_flux,
                           defect=float(defect), vol_ratio=vol / area,

@@ -1,5 +1,5 @@
-"""Row-based face topology: the test oracle for the packed-key search of
-``formsteklov.mesh``.
+"""Row-based face topology: the test oracle for the packed-key face tables
+of ``formsteklov.mesh`` and the incidences it gathers from them.
 
 Face tables come from ``np.unique(axis=0)`` on whole vertex rows, and rows
 are found through a Python dict of tuples.  Slow on deep meshes, exact on

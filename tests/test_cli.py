@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +20,24 @@ def _schema(name):
     path = os.path.join(os.path.dirname(formsteklov.__file__), "schemas", name)
     with open(path, "r", encoding="utf-8") as f:
         return json.load(f)
+
+
+def test_setup_path_does_not_load_scipy_special():
+    """Importing the CLI and a coarse primal solve, in a fresh interpreter,
+    leave scipy.special unloaded: only the elliptic-integral boundary
+    measures of the ellipse and the ellipsoid need it, and its import
+    alone costs about a tenth of that setup."""
+    code = ("import sys; import formsteklov.cli; "
+            "from formsteklov import mesh, steklov; "
+            "K = mesh.generate(mesh.disk(2)); "
+            "[steklov.solve_primal(K, p) for p in (0, 1)]; "
+            "print('scipy.special' in sys.modules)")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "False\n"
 
 
 def test_gen_ball_level2(tmp_path):
@@ -128,12 +148,17 @@ def test_spectrum_from_malformed_mesh_exits_2(tmp_path, monkeypatch, capsys,
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-# an inverted top, a zero-volume top, an edge shared by three triangles
+# an inverted top, a zero-volume top, an edge shared by three triangles,
+# two triangles sharing only a vertex, two tetrahedra sharing only an edge
 @pytest.mark.parametrize("body", [
     "smesh 2 3 1\n0 0\n1 0\n0 1\n0 2 1\n",
     "smesh 2 3 1\n0 0\n1 0\n2 0\n0 1 2\n",
-    "smesh 2 5 3\n0 0\n1 0\n0.5 1\n0.5 2\n0.5 -1\n0 1 2\n0 1 3\n1 0 4\n"],
-    ids=["inverted", "zero-volume", "non-manifold"])
+    "smesh 2 5 3\n0 0\n1 0\n0.5 1\n0.5 2\n0.5 -1\n0 1 2\n0 1 3\n1 0 4\n",
+    "smesh 2 5 2\n0 0\n1 0\n1 1\n-1 0\n-1 -1\n0 1 2\n0 3 4\n",
+    "smesh 3 6 2\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 -1 0\n0 0 -1\n"
+    "0 1 2 3\n0 1 4 5\n"],
+    ids=["inverted", "zero-volume", "non-manifold", "bowtie",
+         "edge-sharing-tets"])
 def test_spectrum_from_bad_geometry_mesh_exits_2(tmp_path, monkeypatch,
                                                  capsys, body):
     monkeypatch.chdir(tmp_path)

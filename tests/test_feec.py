@@ -193,11 +193,13 @@ def test_assembly_is_independent_of_the_chunk_size(spec, monkeypatch):
 def test_degenerate_top_in_last_chunk_raises(spec, monkeypatch):
     K = mesh.generate(spec)
     d, nv = K.dim, len(K.vertices)
-    collinear = np.zeros((d + 1, d))
-    collinear[:, 0] = 5.0 + np.arange(d + 1)
+    # a valid complex with one extra top, whose vertices then move onto a line
+    extra = np.vstack([np.zeros(d), np.eye(d)]) + 5.0
     bad = mesh.SimplicialComplex(
-        d, np.vstack([K.vertices, collinear]),
-        np.vstack([K.tops, nv + np.arange(d + 1)]), check_orientation=False)
+        d, np.vstack([K.vertices, extra]),
+        np.vstack([K.tops, nv + np.arange(d + 1)]))
+    bad.vertices[nv:] = 0.0
+    bad.vertices[nv:, 0] = 5.0 + np.arange(d + 1)
     monkeypatch.setattr(feec, "_CHUNK", 7)
     assert len(bad.tops) > 7
     for p in range(d + 1):

@@ -100,19 +100,35 @@ def _oracle_ellipsoids():
 
 @pytest.mark.parametrize("abc", _oracle_ellipsoids(),
                          ids=lambda abc: "%.3g,%.3g,%.3g" % abc)
-def test_ellipsoid_sigma_matches_search(abc, monkeypatch):
+def test_ellipsoid_sigma_matches_search(abc):
     """The closed-form c-pole curvatures are the minima that a grid search
     with local refinement finds.  The search can only land on a point of
     the surface, so it falls below the minimum only by the rounding of
     its sqrt(H^2 - K): at most 3e-13 relative on 300 random ellipsoids."""
-    # the area quadrature is not under test (and does not converge on the
-    # flattest of these ellipsoids)
-    monkeypatch.setattr(analytic, "boundary_measure", lambda spec: 1.0)
     closed = geometry.analytic_geometry(mesh.ellipsoid(*abc)).sigma
     searched = ellipsoid_oracle.sigma(abc)
     for s, c in zip(searched, closed):
         assert abs(s - c) <= 1e-9 * abs(c)
         assert s >= c * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("spec", [
+    mesh.ellipse(1, 0.7), mesh.ellipse(2, 0.1), mesh.ellipsoid(1, 0.8, 0.7),
+    mesh.ellipsoid(1.5, 0.6, 0.3), mesh.ellipsoid(1, 1, 0.5),
+    mesh.ellipsoid(1, 0.5, 0.5), mesh.ellipsoid(2, 2, 2)], ids=str)
+def test_closed_form_boundary_measure_matches_quadrature(spec):
+    quad = analytic.integrate_boundary(spec, lambda pts, nrm: np.ones(len(pts)))
+    assert abs(geometry.analytic_geometry(spec).vol_sigma - quad) <= 1e-12 * quad
+
+
+@pytest.mark.parametrize("b", [0.08, 0.05])
+def test_flat_prolate_spheroid_area(b):
+    """The area quadrature did not converge on these; the prolate-spheroid
+    formula 2 pi b^2 (1 + asin(e) / (b e)), e^2 = 1 - b^2, gives them."""
+    e = np.sqrt(1 - b ** 2)
+    exact = 2 * np.pi * b ** 2 * (1 + np.arcsin(e) / (b * e))
+    area = geometry.analytic_geometry(mesh.ellipsoid(1, b, b)).vol_sigma
+    assert abs(area - exact) <= 1e-12 * exact
 
 
 def test_sigma_superadditivity():

@@ -235,6 +235,21 @@ def test_mesh_io_nonmanifold(tmp_path):
         mesh.read_mesh(p)
 
 
+@pytest.mark.parametrize("lines", [
+    # two triangles sharing only a vertex
+    ["smesh 2 5 2", "0 0", "1 0", "1 1", "-1 0", "-1 -1", "0 1 2", "0 3 4"],
+    # two tetrahedra sharing only an edge
+    ["smesh 3 6 2", "0 0 0", "1 0 0", "0 1 0", "0 0 1", "0 -1 0", "0 0 -1",
+     "0 1 2 3", "0 1 4 5"]], ids=["bowtie", "edge-sharing-tets"])
+def test_mesh_io_pinched_boundary_is_not_closed(tmp_path, lines):
+    """Every face lies on one top, so only the closedness check of the
+    boundary can refuse these: its pinch lies on four boundary faces."""
+    p = tmp_path / "pinch.smesh"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(NonManifoldError, match="not closed"):
+        mesh.read_mesh(p)
+
+
 def test_mesh_io_negative_volume(tmp_path):
     p = tmp_path / "neg.smesh"
     lines = ["smesh 3 4 1", "0 0 0", "1 0 0", "0 1 0", "0 0 1", "0 2 1 3"]
@@ -297,12 +312,3 @@ def test_row_keys_refuse_to_wrap():
     assert mesh._row_keys(rows, 2 ** 21 - 1).tolist() == [(2 ** 21 - 1) + 2]
     with pytest.raises(MeshFormatError, match="out of range"):
         mesh._row_keys(np.array([[0, 5]]), 5)
-
-
-def test_row_lookup_finds_rows_and_rejects_missing_ones():
-    table = np.array([[0, 1], [0, 2], [1, 2], [2, 3]])
-    assert mesh._row_lookup(table, np.array([[2, 3], [0, 1], [1, 2]])).tolist() \
-        == [3, 0, 2]
-    for missing in ([[0, 3]], [[3, 4]], [[0, 0]]):
-        with pytest.raises(KeyError):
-            mesh._row_lookup(table, np.array(missing))

@@ -61,17 +61,44 @@ def test_exit_time_counts_cg_iterations():
 
 def test_exit_time_cg_failure_is_a_singular_system(monkeypatch, tmp_path,
                                                    capsys):
-    def stuck(A, b, **kwargs):
-        return np.zeros_like(b), 20000
+    operators = scalar._scalar_operators
 
-    monkeypatch.setattr(scalar, "cg", stuck)
-    with pytest.raises(SingularSystemError,
-                       match="after 0 iterations .* info=20000"):
+    def zero_stiffness(K):
+        # the Jacobi step divides by a zero diagonal, so every residual
+        # from the first step on is NaN and CG runs into its cap
+        stiff, M0, bv, interior = operators(K)
+        return 0 * stiff, M0, bv, interior
+
+    monkeypatch.setattr(scalar, "_scalar_operators", zero_stiffness)
+    with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(
+            SingularSystemError,
+            match=r"after 20000 iterations \(\d+ interior vertices\)"):
         scalar.mean_exit_time(mesh.generate(mesh.disk(2)))
     monkeypatch.chdir(tmp_path)
-    rc = cli.main(["verify", "--domain", "disk", "--checks", "CHK-MV"])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rc = cli.main(["verify", "--domain", "disk", "--checks", "CHK-MV"])
     assert rc == 3
     assert "exit-time CG" in capsys.readouterr().err
+
+
+def test_exit_time_is_independent_of_blas_threads():
+    """Ball level 5 is the smallest ball whose exit time came out
+    differently under one and two OpenBLAS threads while CG took BLAS dot
+    products."""
+    code = ("import hashlib; from formsteklov import mesh, scalar; "
+            "r = scalar.mean_exit_time(mesh.generate(mesh.ball(5))); "
+            "print(hashlib.sha256(r.E.tobytes() + r.flux.tobytes())"
+            ".hexdigest(), r.cg_iterations)")
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out.append(subprocess.run([sys.executable, "-c", code], env=env,
+                                  capture_output=True, text=True,
+                                  check=True).stdout)
+    assert out[0] == out[1] != ""
 
 
 def test_ellipse_defect_bounded_below():
