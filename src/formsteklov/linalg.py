@@ -9,14 +9,21 @@ from scipy.sparse.linalg import (ArpackError, ArpackNoConvergence,
 
 from .errors import ConvergenceError
 
+_PIVOT_THRESH = 1e-8    # share of its column's largest entry below which
+                        # a diagonal pivot is traded off the diagonal
+
 
 def symmetric_lu(S):
     """Sparse LU of a symmetric matrix under one minimum-degree ordering of
-    S + S^T, applied to rows and columns alike, without pivoting: stable for
-    symmetric positive definite and symmetric quasi-definite S (Vanderbei,
-    SIAM J. Optim. 5, 1995)."""
+    S + S^T, applied to rows and columns alike, with threshold partial
+    pivoting at _PIVOT_THRESH (Duff, Erisman & Reid, Direct Methods for
+    Sparse Matrices, ch. 7) and no relaxed supernodes.  The positive
+    definite and quasi-definite matrices of this package (Vanderbei, SIAM
+    J. Optim. 5, 1995) keep every pivot on the diagonal; a saddle-point S
+    trades only its rounding-noise pivots off it."""
     return splu(sparse.csc_matrix(S), permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0, options={"SymmetricMode": True})
+                diag_pivot_thresh=_PIVOT_THRESH, relax=1,
+                options={"SymmetricMode": True})
 
 
 def top_eigenpairs(apply, MS, k, what):

@@ -22,21 +22,23 @@ operator T = MS R S^-1 R^T MS, and the finite eigenpairs are those of
 T g = theta MS g with theta = 1/(nu + 1), the largest theta first; the
 boundary Lanczos of linalg.top_eigenpairs finds them in the MS inner
 product.  S is symmetric and saddle-shaped: its sigma block -M
-is negative definite, the rest only semidefinite.  It is factored without
-pivoting under one symmetric minimum-degree ordering; where that factor
-fails a probe solve (S^-1 (S v) off v by more than 1e-6 for a seeded v)
-or the diagonal has a zero outside sigma, it is freed and the other rows
-gain a relative diagonal shift of 1e-8, which makes S symmetric
-quasi-definite and so stably factorable under any symmetric ordering
-(Vanderbei, SIAM J. Optim. 5, 1995).  One factor is alive at a time, and
-its L and U are never read: SciPy would keep CSC copies of both.  Every
-solve is refined with the same factor to a backward error of 1e-14
-(Higham, Accuracy and Stability of Numerical Algorithms, 2002, ch. 12),
-and the eigenvalues are Rayleigh quotients in the exact pencil, so the
-shift does not reach them.  Against a pivoted COLAMD LU this halves the
-nonzeros of L and U of a 3-d verify pass, and one shell spectrum at level
-2 (n = 40k) takes 34-44 s instead of 138-149 s (2-core VM, one BLAS
-thread).
+is negative definite, the rest only semidefinite.  It is factored once,
+under one symmetric minimum-degree ordering, with threshold partial
+pivoting (linalg.symmetric_lu): a pivot stays on the diagonal unless it
+is below 1e-8 of its column's largest entry, so only the rounding-noise
+pivots of the semidefinite block's kernel leave it (none on the plane, at
+most 74 rows of a 3-d pencil at the default levels, for at most a third
+more fill than the unpivoted factor on shell level 2).  Only a zero
+diagonal outside sigma, the W block of the top-degree dual, takes a
+diagonal shift of relative size 1e-8, which makes S symmetric
+quasi-definite and so stably factorable without pivoting (Vanderbei,
+SIAM J. Optim. 5, 1995).  The factor's L and U are never read: SciPy
+would keep CSC copies of both.  Every solve is refined with the same
+factor to a backward error of 1e-14 (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, ch. 12), and the eigenvalues are Rayleigh
+quotients in the exact pencil, so neither pivot noise nor the shift
+reaches them.  Against a pivoted COLAMD LU this halves the nonzeros of L
+and U of a 3-d verify pass.
 """
 
 from dataclasses import dataclass
@@ -50,7 +52,6 @@ from .linalg import symmetric_lu, top_eigenpairs
 
 _SHIFT = -1.0
 _RESIDUAL_TOL = 1e-8
-_PROBE_TOL = 1e-6        # forward error above which the factor takes _DELTA
 _DELTA = 1e-8            # quasi-definite diagonal shift of the non-sigma rows
 _REFINE_TOL = 1e-14      # backward error every solve is refined to
 _REFINE_RATE = 0.5       # each refinement step must halve the backward error
@@ -60,11 +61,11 @@ _REFINE_RATE = 0.5       # each refinement step must halve the backward error
 class SpectrumResult:
     """Lowest eigenvalues of one Dirichlet-to-Neumann problem, with the
     work that produced them: pencil size n, boundary size nb, factor fill
-    (the entries SuperLU stores for L and U, zeros inside its supernodes
-    included), the number of triangular solves, the diagonal shift delta
-    of the factor (0 when the plain factor passed its probe solve) and the
-    worst backward error ||b - S x|| / (||S|| ||x|| + ||b||) of any solve
-    after refinement."""
+    (the entries SuperLU stores for L and U), the rows it pivoted off the
+    diagonal, the number of triangular solves, the diagonal shift delta of
+    the factor (0 unless the pencil has a zero diagonal outside sigma) and
+    the worst backward error ||b - S x|| / (||S|| ||x|| + ||b||) of any
+    solve after refinement."""
 
     degree: int
     dual: bool
@@ -78,6 +79,7 @@ class SpectrumResult:
     n: int = 0
     nb: int = 0
     fill: int = 0
+    pivots: int = 0
     solves: int = 0
     delta: float = 0.0
     solve_residual: float = 0.0
@@ -93,6 +95,7 @@ class SpectrumResult:
             "n": int(self.n),
             "nb": int(self.nb),
             "fill": int(self.fill),
+            "pivots": int(self.pivots),
             "solves": int(self.solves),
             "delta": float(self.delta),
             "solve_residual": float(self.solve_residual),
@@ -107,32 +110,27 @@ def _coupling(K: mesh.SimplicialComplex, q: int):
 
 
 def _factor(S, n_sig, what):
-    """Symmetric unpivoted LU of S and the delta it took: when S has a zero
-    diagonal outside the n_sig sigma rows, or the plain factor breaks down
-    or fails its probe solve (forward error of S^-1 (S v) above _PROBE_TOL
-    for a seeded v), the rows after sigma gain _DELTA |S_ii| (_DELTA
-    max|diag S| where S_ii = 0), which makes S symmetric quasi-definite
-    (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996).  The
-    shifted factor is not probed: refinement is its guard."""
+    """Threshold-pivoted symmetric LU of S (linalg.symmetric_lu) and the
+    delta it took.  Only a zero diagonal outside the n_sig sigma rows (the
+    top-degree dual's W block) takes a shift: the rows after sigma gain
+    _DELTA |S_ii|, and a zero-diagonal row _DELTA sum_j S_ij^2 / |S_jj|
+    over the j with S_jj != 0, the diagonal of the Schur complement
+    C_W M^-1 C_W^T it stands for; this makes S symmetric quasi-definite
+    (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996).
+    The per-row scale keeps that block's pivots on the diagonal: with
+    _DELTA max|diag S| they leave it, for 94M fill instead of 0.44M on
+    disk level 5.  Refinement and the residual gate guard every factor."""
     d = np.abs(S.diagonal())
-    shift = np.where(d > 0, d, d.max(initial=0.0))
-    shift[:n_sig] = 0.0
-    # a zero diagonal outside sigma (the top-degree dual's W block) makes
-    # SuperLU pivot off it: 57M fill, not 0.44M, on disk level 5
-    if d[n_sig:].all():
-        try:
-            lu = symmetric_lu(S)
-        except RuntimeError:             # an exactly zero pivot
-            pass
-        else:
-            v = np.random.default_rng(0).normal(size=S.shape[0])
-            if (np.abs(lu.solve(S @ v) - v).max()
-                    <= _PROBE_TOL * np.abs(v).max()):
-                return lu, 0.0
-        lu = None                        # free it before the next factor
+    delta = 0.0
+    if not d[n_sig:].all():
+        delta = _DELTA
+        inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
+        shift = np.where(d > 0, d, S.multiply(S) @ inv)
+        shift[:n_sig] = 0.0
+        S = S + sparse.diags(delta * shift)
     try:
-        return symmetric_lu(S + sparse.diags(_DELTA * shift)), _DELTA
-    except RuntimeError:
+        return symmetric_lu(S), delta
+    except RuntimeError:                 # an exactly zero pivot
         raise SingularSystemError(f"singular pencil of {what}") from None
 
 
@@ -210,7 +208,8 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
         degree=degree, dual=dual, eigenvalues=vals, eigencochains=R @ X,
         kernel_dim=kd, gap_ratio=gap, residuals=res, level=level,
         sym_defect=float(sym_defect), n=n, nb=nb,
-        fill=int(lu.nnz), solves=solves, delta=delta,
+        fill=int(lu.nnz), pivots=int((lu.perm_r != lu.perm_c).sum()),
+        solves=solves, delta=delta,
         solve_residual=worst)
 
 

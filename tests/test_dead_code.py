@@ -42,10 +42,27 @@ def _definitions():
     return [d for d in out if not _is_dunder(d[0])]
 
 
+def _constants():
+    """(name, place) of every module-level assignment to a name."""
+    out = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in _parse(path).body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign)
+                       else [])
+            out += [(t.id, f"{path.name}:{node.lineno}") for t in targets
+                    if isinstance(t, ast.Name) and not _is_dunder(t.id)]
+    return out
+
+
+def _program_trees():
+    return [_parse(p) for d in SEARCHED for p in (ROOT / d).rglob("*.py")]
+
+
 def _used_names():
     used = set()
-    for path in (p for d in SEARCHED for p in (ROOT / d).rglob("*.py")):
-        for node in ast.walk(_parse(path)):
+    for tree in _program_trees():
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 used.add(node.id)
             elif isinstance(node, ast.Attribute):
@@ -60,3 +77,16 @@ def test_every_definition_is_used():
     unused = {qual: where for name, qual, where in _definitions()
               if name not in used}
     assert not unused, f"definitions no program code uses: {unused}"
+
+
+def test_every_constant_is_read():
+    read = set()
+    for tree in _program_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = {name: where for name, where in _constants()
+              if name not in read}
+    assert not unread, f"module constants no program code reads: {unread}"

@@ -1,5 +1,3 @@
-import weakref
-
 import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator
@@ -144,6 +142,7 @@ def test_spectrum_result_json():
     assert d["n"] == K.n_simplices(0) and d["nb"] == 16
     assert d["fill"] > 0 and d["solves"] > 0
     assert d["delta"] == 0.0 and 0.0 <= d["solve_residual"] <= 1e-14
+    assert d["pivots"] == 0
     r = steklov.dual_spectrum(K, 1, k=3, level=1)    # zero W block
     assert r.to_json()["delta"] == steklov._DELTA
 
@@ -208,19 +207,30 @@ def test_lanczos_runs_on_the_boundary_operator(monkeypatch):
     assert r.nb == 18 and shapes == [(18, 18)]
 
 
-def test_shifted_factor_matches_dense_oracle():
-    """On shell level 1 the plain factors of primal p = 2 and dual p = 1
-    fail their probe solves (the top-degree dual of every family takes the
-    shift for its zero diagonal block); with refinement and Rayleigh quotients
-    no trace of the shift is left in the eigenvalues (Lanczos values of
-    the refined factor were 3e-12 off)."""
+def test_pivoted_factor_matches_dense_oracle():
+    """On shell level 1 the unpivoted factors of primal p = 2 and dual
+    p = 1 meet rounding-noise pivots; the threshold-pivoted factor trades
+    them off the diagonal and needs no shift, and with refinement and
+    Rayleigh quotients the eigenvalues match the dense oracle."""
     K = mesh.generate(mesh.shell(0.5, 1, 1))
     for p, dual in ((2, False), (1, True)):
         r, lam, B = _assert_matches_oracle(K, p, dual)
-        assert r.delta == steklov._DELTA
+        assert r.delta == 0.0 and r.pivots > 0
         assert r.solve_residual <= steklov._REFINE_TOL
         vals = dense_oracle.spectrum(lam, B, 8)[0]
         assert np.abs(r.eigenvalues - vals).max() <= 3e-13 * vals[-1]
+
+
+def test_top_degree_dual_shift_is_scaled_per_row():
+    """The zero W block of the top-degree dual takes the shift; scaled to
+    the diagonal of its Schur complement, one or two refinement steps
+    reach the backward error (317 solves with delta max|diag S|), and no
+    pivot leaves the diagonal (94M fill when they do)."""
+    r = steklov.dual_spectrum(mesh.generate(mesh.disk(5)), 1)
+    assert r.delta == steklov._DELTA and r.pivots == 0
+    assert r.fill < 1_000_000
+    assert r.solves <= 250
+    assert r.solve_residual <= steklov._REFINE_TOL
 
 
 def test_seeded_start_finds_both_copies_of_double_eigenvalue():
@@ -252,24 +262,14 @@ def test_box_level2_needs_fewer_solves_than_boundary_dofs():
 
 
 def test_box_level3_quasi_definite_fill():
-    """The symmetric unpivoted factor holds less than half the fill of the
-    pivoted COLAMD factor it replaced (8.16M and 9.10M), and every solve
-    ends at the backward error of an exact factor."""
+    """The symmetric threshold-pivoted factor holds less than half the
+    fill of the pivoted COLAMD factor it replaced (8.16M and 9.10M), and
+    every solve ends at the backward error of an exact factor."""
     K = mesh.generate(mesh.box(1, 1, 1, 3))
     for r, bound in ((steklov.solve_primal(K, 2), 4_000_000),
                      (steklov.dual_spectrum(K, 1), 5_000_000)):
         assert 0 < r.fill < bound
         assert r.solve_residual <= steklov._REFINE_TOL
-
-
-def test_box_level3_coboundary_stiffness_keeps_unshifted_factors():
-    """Primal p = 1 and dual p = 0 at box level 3 factor without the
-    delta shift.  A stiffness from the closed form (q+1)!^2 vol det g of
-    the Whitney differentials rounds differently, and the dual pencil
-    then takes the shift."""
-    K = mesh.generate(mesh.box(1, 1, 1, 3))
-    assert steklov.solve_primal(K, 1).delta == 0.0
-    assert steklov.dual_spectrum(K, 0).delta == 0.0
 
 
 class _BareFactor:
@@ -295,22 +295,25 @@ def test_spectra_never_read_the_triangular_factors(monkeypatch):
             assert r.fill > 0 and r.residuals.max() <= steklov._RESIDUAL_TOL
 
 
-def test_rejected_plain_factor_is_freed_before_the_shifted_one(monkeypatch):
-    """Ellipsoid (1, 0.8, 0.6) level 2, primal p = 2: the plain factor fails
-    its probe solve and is dead before the shifted factor is built, so at
-    most one factor is alive at a time."""
-    true_lu, alive = steklov.symmetric_lu, []
+def test_noise_pivot_pencils_build_one_unshifted_factor(monkeypatch):
+    """Pencils whose unpivoted factor met a rounding-noise pivot (the
+    ellipsoid primal p = 2, both box pencils of verify-box seed 2) build
+    exactly one factor, without a shift."""
+    true_lu, built = steklov.symmetric_lu, []
 
-    def tracked(S):
-        assert all(ref() is None for ref in alive), "a factor is alive"
-        lu = _BareFactor(true_lu(S))
-        alive.append(weakref.ref(lu))
-        return lu
+    def counted(S):
+        built.append(S.shape)
+        return _BareFactor(true_lu(S))
 
-    monkeypatch.setattr(steklov, "symmetric_lu", tracked)
-    K = mesh.generate(mesh.ellipsoid(1, 0.8, 0.6, 2))
-    r = steklov.solve_primal(K, 2)
-    assert r.delta == steklov._DELTA and len(alive) == 2
+    monkeypatch.setattr(steklov, "symmetric_lu", counted)
+    ellipsoid = mesh.generate(mesh.ellipsoid(1, 0.8, 0.6, 2))
+    box = mesh.generate(mesh.box(1.0912, 1.0896, 0.9113, 3))
+    for spectrum, K, p in ((steklov.solve_primal, ellipsoid, 2),
+                           (steklov.solve_primal, box, 2),
+                           (steklov.dual_spectrum, box, 1)):
+        built.clear()
+        r = spectrum(K, p)
+        assert len(built) == 1 and r.delta == 0.0
 
 
 def _p0_blocks(K):
@@ -330,13 +333,13 @@ def test_singular_shifted_pencil_is_reported():
 
 def test_nonzero_singular_pencil_is_not_regularized_away():
     """S = A - _SHIFT B is the scalar stiffness, singular on constants:
-    the diagonal shift makes it factor, and the refinement that cannot
-    converge reports the singularity."""
+    no diagonal shift hides it, and its factor meets an exactly zero
+    pivot."""
     K = mesh.generate(mesh.disk(1))
     K_stiff, Tr, MS = _p0_blocks(K)
     B = Tr.T @ MS @ Tr
     with pytest.raises(SingularSystemError,
-                       match="refinement of degree 0 at level 1 stalled"):
+                       match="singular pencil of degree 0 at level 1"):
         steklov._pencil_spectrum(K_stiff + steklov._SHIFT * B, Tr, MS, 4, 0,
                                  1)
 
