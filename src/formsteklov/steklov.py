@@ -190,8 +190,8 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     vals = _SHIFT + 1.0 / theta
     X = solve(R.T @ (MS @ G)) * (vals - _SHIFT)
     X /= np.sqrt(np.einsum("ij,ij->j", X, B @ X))[None, :]
-    # second order in the error of X: the Lanczos values of the refined
-    # shifted factor were 3e-12 off on shell level 1, p = 2; these 3e-14
+    # second order in the error of X, where the Lanczos values carry the
+    # refined solves' error to first order
     vals = np.einsum("ij,ij->j", X, A @ X)
     order = np.argsort(vals, kind="stable")
     vals, X = vals[order], X[:, order]

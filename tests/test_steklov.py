@@ -272,6 +272,37 @@ def test_box_level3_quasi_definite_fill():
         assert r.solve_residual <= steklov._REFINE_TOL
 
 
+def test_box_level3_coboundary_stiffness_keeps_unshifted_factors():
+    """Primal p = 1 and dual p = 0 at box level 3 have no zero diagonal
+    outside sigma, so they factor without the delta shift."""
+    K = mesh.generate(mesh.box(1, 1, 1, 3))
+    assert steklov.solve_primal(K, 1).delta == 0.0
+    assert steklov.dual_spectrum(K, 0).delta == 0.0
+
+
+class _FactorBuilt(Exception):
+    pass
+
+
+def test_shell_level2_threshold_pivoted_fill(monkeypatch):
+    """Shell level 2 primal p = 2 and dual p = 1 hold the largest factors
+    of the default levels: 54.7M and 53.7M entries with threshold
+    pivoting (the unpivoted primal factor held 41.0M).  Only the factor is
+    built; the Lanczos solves are skipped."""
+    true_lu, fills = steklov.symmetric_lu, []
+
+    def measured(S):
+        fills.append(true_lu(S).nnz)
+        raise _FactorBuilt
+
+    monkeypatch.setattr(steklov, "symmetric_lu", measured)
+    K = mesh.generate(mesh.shell(0.5, 1, 2))
+    for spectrum, p in ((steklov.solve_primal, 2), (steklov.dual_spectrum, 1)):
+        with pytest.raises(_FactorBuilt):
+            spectrum(K, p)
+    assert 0 < fills[0] < 58_000_000 and 0 < fills[1] < 57_000_000
+
+
 class _BareFactor:
     """A SuperLU factor that refuses .L and .U: SciPy builds CSC copies of
     both on the first access to either and keeps them on the factor."""
