@@ -6,12 +6,12 @@ cochains of constant-coefficient forms are reproduced exactly, and the
 cochain complex reproduces de Rham cohomology, so kernel dimensions of the
 operators built downstream are exact integers.  One exact element-local
 kernel, ``_local_products``, integrates the Whitney products on each top
-simplex, and ``_scatter`` sums element matrices onto the mesh: the volume
-mass, the boundary mass, the stiffness (the local mass pulled back
+simplex, and ``_assemble`` sums element matrices onto the mesh: the
+volume mass, the boundary mass, the stiffness (the local mass pulled back
 through the integer local coboundary) and the normal-trace energy all
 take this path, and the stiffness never forms a global (q+1)-form matrix.
-The volume element matrices are computed over chunks of ``_CHUNK`` tops,
-so the gradients and products in flight stay bounded by the chunk size.
+Element matrices are computed and scattered one chunk of ``_CHUNK`` tops
+at a time, straight into the unsummed CSR arrays.
 """
 
 import itertools
@@ -98,55 +98,58 @@ def _local_products(p: int, grads, lam, measure):
     return local
 
 
-def _scatter(K: SimplicialComplex, p: int, tops, local):
-    """Sum the element matrices ``local`` of the top simplices
-    ``K.tops[tops]``, given in local combination order, onto the global
-    p-simplices.  The stored face signs are applied to ``local`` in place
-    (they are +-1, so the products are exact)."""
+def _assemble(K: SimplicialComplex, p: int, element, tops=slice(None)):
+    """Sum the element matrices ``element(chunk)`` of the top simplices
+    ``K.tops[tops][chunk]``, in local combination order, onto the global
+    p-simplices, for chunks of _CHUNK rows.  The face signs (+-1, exact)
+    are applied in place, and each chunk goes straight to where COO->CSR
+    conversion puts it, so the sum is the one-pass COO assembly's."""
     n = K.n_simplices(p)
-    gidx = K.faces_of_top[p][tops]
-    if n < 2 ** 31:
-        # scipy would copy int64 indices down to int32 itself
-        gidx = gidx.astype(np.int32)
-    gsgn = K.face_signs_of_top[p][tops]
-    local *= gsgn[:, :, None]
-    local *= gsgn[:, None, :]
-    nb = gidx.shape[1]
-    rows = np.repeat(gidx, nb, axis=1).ravel()
-    cols = np.tile(gidx, (1, nb)).ravel()
-    return sparse.coo_matrix((local.ravel(), (rows, cols)),
-                             shape=(n, n)).tocsr()
+    gidx, gsgn = K.faces_of_top[p][tops], K.face_signs_of_top[p][tops]
+    ne, nb = gidx.shape
+    m = ne * nb
+    idx = np.int32 if max(m * nb, n) < 2 ** 31 else np.int64
+    # COO->CSR conversion gives each occurrence (top, face) one row of nb
+    # entries, by a stable counting sort of the occurrences on the face;
+    # the CSR->CSC conversion of their incidence is that same sort
+    occ = sparse.csr_matrix((np.ones(m, bool), gidx.ravel(), np.arange(m + 1, dtype=idx)),
+                            shape=(m, n)).tocsc()
+    rank = np.empty(m, dtype=idx)
+    rank[occ.indices] = np.arange(m, dtype=idx)
+    # rows of nb entries move as single void items; the arrays stay plain
+    # numbers, or summing would keep every unsummed entry alive
+    irow, drow = (np.dtype((np.void, nb * np.dtype(t).itemsize)) for t in (idx, float))
+    indices, data = np.empty(m * nb, dtype=idx), np.empty(m * nb)
+    np.take(np.ascontiguousarray(gidx, dtype=idx).view(irow).ravel(),
+            occ.indices // nb, out=indices.view(irow))
+    for start in range(0, ne, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        local = element(chunk)
+        local *= gsgn[chunk, :, None]
+        local *= gsgn[chunk, None, :]
+        data.view(drow)[rank[nb * start:nb * (start + _CHUNK)]] = local.view(drow).ravel()
+    A = sparse.csr_matrix((data, indices, occ.indptr.astype(idx) * nb), shape=(n, n))
+    A.sum_duplicates()
+    return A
 
 
-def _volume_products(K: SimplicialComplex, p: int, D=None):
-    """Element matrices of the Whitney p-form mass on every top simplex,
-    pulled back to D.T @ local @ D when a local coboundary D is given;
-    computed one chunk of _CHUNK tops at a time."""
-    k, nt = K.dim, len(K.tops)
+def _mass_products(K: SimplicialComplex, p: int, chunk):
+    """Element matrices of the Whitney p-form mass on ``K.tops[chunk]``."""
+    k = K.dim
     # exact integrals of lambda_i * lambda_j over a top of unit volume
     lam = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
-    nb = math.comb(k + 1, p + 1) if D is None else D.shape[1]
-    out = np.empty((nt, nb, nb))
-    for start in range(0, nt, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        if p == 0:
-            # the degree-0 products are lambda_i lambda_j themselves
-            out[chunk] = _edge_gram(K, chunk)[2][:, None, None] * lam
-            continue
-        vols, grads = barycentric_gradients(K, chunk)
-        local = _local_products(p, grads, lam[None], vols)
-        if D is None:
-            out[chunk] = local
-        else:
-            np.matmul(D.T @ local, D, out=out[chunk])
-    return out
+    if p == 0:
+        # the degree-0 products are lambda_i lambda_j themselves
+        return _edge_gram(K, chunk)[2][:, None, None] * lam
+    vols, grads = barycentric_gradients(K, chunk)
+    return _local_products(p, grads, lam[None], vols)
 
 
 def mass_matrix(K: SimplicialComplex, p: int):
     """Whitney p-form mass matrix (symmetric positive definite)."""
     if not 0 <= p <= K.dim:
         raise ValueError(f"degree {p} out of range")
-    return _scatter(K, p, slice(None), _volume_products(K, p))
+    return _assemble(K, p, lambda chunk: _mass_products(K, p, chunk))
 
 
 def stiffness(K: SimplicialComplex, q: int):
@@ -161,7 +164,7 @@ def stiffness(K: SimplicialComplex, q: int):
     if q == K.dim:
         return sparse.csr_matrix((K.n_simplices(q),) * 2)
     D = mesh.local_coboundary(K.dim, q)
-    return _scatter(K, q, slice(None), _volume_products(K, q + 1, D))
+    return _assemble(K, q, lambda chunk: D.T @ _mass_products(K, q + 1, chunk) @ D)
 
 
 def tangential_trace(K: SimplicialComplex, p: int):
@@ -200,8 +203,8 @@ def normal_trace_form(K: SimplicialComplex, q: int):
     keep = np.arange(d + 1)[None, :] != (d - cols)[:, None]
     lam = (1.0 + np.eye(d + 1)) / (d * (d + 1)) * keep[:, :, None] * keep[:, None, :]
     areas = mesh.simplex_measures(K.vertices, K.simplices[d - 1][fot[tops, cols]])
-    grads = barycentric_gradients(K, tops)[1]
-    F = _scatter(K, q, tops, _local_products(q, grads, lam, areas))
+    F = _assemble(K, q, lambda c: _local_products(
+        q, barycentric_gradients(K, tops[c])[1], lam[c], areas[c]), tops)
     if q == d:
         return F
     Tr = tangential_trace(K, q)

@@ -3,9 +3,11 @@
 Deterministic structured generators (no external meshers), uniform
 refinement with boundary snapping, oriented boundary extraction, signed
 incidence (coboundary) matrices, mod-2 Betti numbers, and a plain-text
-file format.  The face tables of the tops are found once, by sorting one
-packed int64 key per vertex row; every incidence (coboundary, boundary,
-parent maps) is gathered from them, never searched for again.
+file format.  The face tables of the tops are found once per degree, by
+one ``np.unique`` over the packed int64 keys of the sorted local vertex
+subsets; every incidence (coboundary, boundary, parent maps) is gathered
+from them, never searched for again.  ``faces_of_top`` is int32 and
+``face_signs_of_top`` int8; every other index table is int64.
 
 Conventions
 -----------
@@ -114,14 +116,14 @@ def box(lx, ly, lz, level=0):
 
 
 def _sort_parity(rows: np.ndarray):
-    """Sorted copy of each row and the permutation parity (+1/-1) of the sort."""
+    """Sorted copy of each row and the int8 parity (+1/-1) of the sort."""
     rows = np.asarray(rows)
     w = rows.shape[1]
     inv = np.zeros(len(rows), dtype=np.int64)
     for i in range(w):
         for j in range(i + 1, w):
             inv += rows[:, i] > rows[:, j]
-    sign = np.where(inv % 2 == 0, 1, -1).astype(np.int64)
+    sign = np.where(inv % 2 == 0, 1, -1).astype(np.int8)
     return np.sort(rows, axis=1), sign
 
 
@@ -142,6 +144,25 @@ def _row_keys(rows: np.ndarray, nv: int) -> np.ndarray:
         key *= nv
         key += rows[:, j]
     return key
+
+
+def _faces(tops: np.ndarray, k: int, nv: int):
+    """Ascending k-simplices of the tops (int64), and each top's local
+    k-faces in combination order: global indices (int32) and the parity of
+    their stored vertex order (int8).  Raises rather than overflow int32."""
+    nt, nloc = tops.shape
+    subsets = list(itertools.combinations(range(nloc), k + 1))
+    if nt * len(subsets) >= 2 ** 31:
+        raise MeshFormatError(f"{nt} tops have too many {k}-faces for int32")
+    keys = np.empty((nt, len(subsets)), dtype=np.int64)
+    signs = np.empty((nt, len(subsets)), dtype=np.int8)
+    for j, s in enumerate(subsets):
+        srt, signs[:, j] = _sort_parity(tops[:, s])
+        keys[:, j] = _row_keys(srt, nv)
+    keys, inverse = np.unique(keys.ravel(), return_inverse=True)
+    # vertex j of a face is digit j of its base-nv key
+    simp = np.stack([keys // nv ** (k - j) % nv for j in range(k + 1)], axis=1)
+    return simp, inverse.reshape(nt, len(subsets)).astype(np.int32), signs
 
 
 def _signed_volumes(vertices: np.ndarray, tops: np.ndarray) -> np.ndarray:
@@ -199,22 +220,11 @@ class SimplicialComplex:
         self.faces_of_top: list = [None] * (self.dim + 1)
         self.face_signs_of_top: list = [None] * (self.dim + 1)
         self.simplices[self.dim] = tops
-        nloc = self.dim + 1
-        nv = len(self.vertices)
         for k in range(self.dim):
-            subsets = list(itertools.combinations(range(nloc), k + 1))
-            cols = [tops[:, s] for s in subsets]
-            raw = np.concatenate(cols, axis=0)
-            srt, sgn = _sort_parity(raw)
-            keys, inverse = np.unique(_row_keys(srt, nv), return_inverse=True)
-            uniq = np.empty((len(keys), k + 1), dtype=np.int64)
-            uniq[inverse] = srt
-            self.simplices[k] = uniq
-            nt = len(tops)
-            self.faces_of_top[k] = inverse.reshape(len(subsets), nt).T.copy()
-            self.face_signs_of_top[k] = sgn.reshape(len(subsets), nt).T.copy()
-        self.faces_of_top[self.dim] = np.arange(len(tops))[:, None]
-        self.face_signs_of_top[self.dim] = np.ones((len(tops), 1), dtype=np.int64)
+            (self.simplices[k], self.faces_of_top[k],
+             self.face_signs_of_top[k]) = _faces(tops, k, len(self.vertices))
+        self.faces_of_top[self.dim] = np.arange(len(tops), dtype=np.int32)[:, None]
+        self.face_signs_of_top[self.dim] = np.ones((len(tops), 1), dtype=np.int8)
 
         self._extract_boundary()
         self._bc = None
@@ -252,7 +262,7 @@ class SimplicialComplex:
         t, c = np.nonzero(counts[fot] == 1)
         order = np.argsort(fot[t, c])
         t, c = t[order], c[order]
-        self.boundary_faces = fot[t, c]
+        self.boundary_faces = fot[t, c].astype(np.int64)
         # local face c omits local vertex d - c; the outward orientation is
         # (-1)^(d - c) composed with the parity of the stored vertex order
         omitted = d - c
@@ -268,7 +278,7 @@ class SimplicialComplex:
             without = np.array([[j not in s for s in subsets]
                                 for j in range(d + 1)])
             gathered = self.faces_of_top[k][t][without[omitted]]
-            bset[k] = np.unique(gathered)
+            bset[k] = np.unique(gathered).astype(np.int64)
         self.boundary_simplices = bset
 
         # boundary of the boundary must be closed: each boundary ridge (the
@@ -562,12 +572,14 @@ def refine(K: SimplicialComplex, spec: DomainSpec) -> SimplicialComplex:
     eot = K.faces_of_top[1]  # (nt, n_local_edges) in combination order
     if d == 2:
         # local edges of (a,b,c) in combination order: (a,b), (a,c), (b,c)
-        locv = np.column_stack([tops, nv + eot[:, [0, 2, 1]]])
+        locv = np.column_stack([tops, eot[:, [0, 2, 1]]])
         pattern = _TRI_CHILDREN
     else:
         # local edges of (a,b,c,d): (a,b),(a,c),(a,d),(b,c),(b,d),(c,d)
-        locv = np.column_stack([tops, nv + eot])
+        locv = np.column_stack([tops, eot])
         pattern = _TET_CHILDREN
+    # the edge indices are int32; the midpoints are numbered in int64
+    locv[:, d + 1:] += nv
     children = np.concatenate([locv[:, list(ch)] for ch in pattern], axis=0)
     return SimplicialComplex(d, verts, children)
 

@@ -1,9 +1,11 @@
-"""Test oracle: the Whitney mass matrix assembled in one pass.
+"""Test oracle: the Whitney matrices assembled in one pass.
 
-The element products are formed in the same order as in ``feec``, the
-face signs are applied to a copy, and the signed products are summed into
-CSR.  The signs are +-1, so ``feec.mass_matrix``, which applies them in
-place in a separate scatter step, must equal this oracle entry for entry.
+The element products of every top are formed at once, in the same order
+as in ``feec``, the face signs are applied to a copy, and the signed
+products are summed into CSR through one COO matrix.  ``feec`` streams
+chunks of element matrices straight into the unsummed CSR arrays, in the
+order COO->CSR conversion would give them, so the mass, the stiffness and
+the normal-trace form must equal this oracle entry for entry.
 """
 
 import itertools
@@ -12,16 +14,52 @@ import math
 import numpy as np
 from scipy import sparse
 
-from formsteklov import feec
+from formsteklov import feec, mesh
 
 
 def mass_matrix(K, p):
-    k = K.dim
     vols, grads = feec.barycentric_gradients(K)
-    lam = (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
+    return _coo(K, p, slice(None), _products(p, grads, _lam(K.dim), vols))
+
+
+def stiffness(K, q):
+    """D_loc^T M_loc D_loc on every top, scattered onto the q-simplices."""
+    vols, grads = feec.barycentric_gradients(K)
+    D = mesh.local_coboundary(K.dim, q)
+    local = _products(q + 1, grads, _lam(K.dim), vols)
+    return _coo(K, q, slice(None), D.T @ local @ D)
+
+
+def normal_trace_form(K, q):
+    """Volume products over the parent top of each boundary face, listed
+    once per face, minus the boundary mass of the tangential trace."""
+    d = K.dim
+    on_boundary = np.zeros(K.n_simplices(d - 1), dtype=bool)
+    on_boundary[K.boundary_faces] = True
+    fot = K.faces_of_top[d - 1]
+    tops, cols = np.nonzero(on_boundary[fot])
+    keep = np.arange(d + 1)[None, :] != (d - cols)[:, None]
+    lam = (1.0 + np.eye(d + 1)) / (d * (d + 1)) * keep[:, :, None] * keep[:, None, :]
+    areas = mesh.simplex_measures(K.vertices, K.simplices[d - 1][fot[tops, cols]])
+    grads = feec.barycentric_gradients(K)[1][tops]
+    F = _coo(K, q, tops, _products(q, grads, lam, areas))
+    if q == d:
+        return F
+    Tr = feec.tangential_trace(K, q)
+    return (F - Tr.T @ mass_matrix(K.boundary_complex(), q) @ Tr).tocsr()
+
+
+def _lam(k):
+    """Integrals of lambda_i lambda_j over a top of unit volume."""
+    return (1.0 + np.eye(k + 1)) / ((k + 1) * (k + 2))
+
+
+def _products(p, grads, lam, measure):
+    """Element matrices of the Whitney p-form products; ``lam`` is one
+    matrix for all elements or one per element."""
     g = np.einsum("nia,nja->nij", grads, grads)
-    locs = list(itertools.combinations(range(k + 1), p + 1))
-    nb, ne = len(locs), len(vols)
+    locs = list(itertools.combinations(range(grads.shape[1]), p + 1))
+    nb, ne = len(locs), len(measure)
     local = np.zeros((ne, nb, nb))
     fp = math.factorial(p) ** 2
     for i, si in enumerate(locs):
@@ -33,14 +71,21 @@ def mass_matrix(K, p):
                 ra = si[:a] + si[a + 1:]
                 for b in range(p + 1):
                     rb = sj[:b] + sj[b + 1:]
-                    acc += ((-1) ** (a + b) * lam[si[a], sj[b]]
+                    acc += ((-1) ** (a + b) * lam[..., si[a], sj[b]]
                             * _minor_det(g, ra, rb))
-            local[:, i, j] = fp * acc * vols
+            local[:, i, j] = fp * acc * measure
             if j != i:
                 local[:, j, i] = local[:, i, j]
-    gidx = K.faces_of_top[p]
-    gsgn = K.face_signs_of_top[p].astype(float)
+    return local
+
+
+def _coo(K, p, tops, local):
+    """Sum of the signed element matrices of ``K.tops[tops]`` by one COO
+    to CSR conversion."""
+    gidx = K.faces_of_top[p][tops]
+    gsgn = K.face_signs_of_top[p][tops].astype(float)
     signed = local * gsgn[:, :, None] * gsgn[:, None, :]
+    nb = gidx.shape[1]
     rows = np.repeat(gidx, nb, axis=1).ravel()
     cols = np.tile(gidx, (1, nb)).ravel()
     n = K.n_simplices(p)

@@ -1,4 +1,6 @@
 import hashlib
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,10 +268,10 @@ def test_write_mesh_bytes_pinned(spec, tmp_path):
     assert digest == WRITE_MESH_SHA256[(spec.label(), spec.level)]
 
 
-def _assert_tables_equal(got, want):
+def _assert_tables_equal(got, want, dtype=np.int64):
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.dtype == np.int64 and g.shape == w.shape
+        assert g.dtype == dtype and g.shape == w.shape
         assert (g == w).all()
 
 
@@ -279,8 +281,8 @@ def test_packed_key_topology_matches_row_oracle(spec):
     d = K.dim
     simp, fot, fsgn = mesh_oracle.face_tables(d, K.tops)
     _assert_tables_equal(K.simplices, simp)
-    _assert_tables_equal(K.faces_of_top, fot)
-    _assert_tables_equal(K.face_signs_of_top, fsgn)
+    _assert_tables_equal(K.faces_of_top, fot, np.int32)
+    _assert_tables_equal(K.face_signs_of_top, fsgn, np.int8)
     faces, signs, bset, closed = mesh_oracle.boundary(d, simp, fot, fsgn)
     assert closed
     _assert_tables_equal([K.boundary_faces, K.boundary_signs], [faces, signs])
@@ -289,8 +291,8 @@ def test_packed_key_topology_matches_row_oracle(spec):
     bc = K.boundary_complex()
     bsimp, bfot, bfsgn = mesh_oracle.face_tables(d - 1, bc.tops)
     _assert_tables_equal(bc.simplices, bsimp)
-    _assert_tables_equal(bc.faces_of_top, bfot)
-    _assert_tables_equal(bc.face_signs_of_top, bfsgn)
+    _assert_tables_equal(bc.faces_of_top, bfot, np.int32)
+    _assert_tables_equal(bc.face_signs_of_top, bfsgn, np.int8)
     used = np.unique(simp[d - 1][faces])
     index, sign = mesh_oracle.parent_maps(simp, used, bsimp)
     _assert_tables_equal(bc.parent_index, index)
@@ -312,3 +314,38 @@ def test_row_keys_refuse_to_wrap():
     assert mesh._row_keys(rows, 2 ** 21 - 1).tolist() == [(2 ** 21 - 1) + 2]
     with pytest.raises(MeshFormatError, match="out of range"):
         mesh._row_keys(np.array([[0, 5]]), 5)
+
+
+def test_face_tables_refuse_to_wrap_int32(monkeypatch):
+    """nt * C(d+1, k+1) local faces at or past 2**31 raise before any row
+    is sorted; the tops are a broadcast view of one row, so nothing large
+    is allocated."""
+    def refuse(rows):
+        raise AssertionError("the int32 guard must come first")
+
+    monkeypatch.setattr(mesh, "_sort_parity", refuse)
+    for d in (2, 3):
+        for k in range(d):
+            nt = -(-2 ** 31 // math.comb(d + 1, k + 1))
+            tops = np.broadcast_to(np.arange(d + 1), (nt, d + 1))
+            with pytest.raises(MeshFormatError, match="int32"):
+                mesh._faces(tops, k, d + 1)
+
+
+def test_ball_level4_face_tables_stay_compact():
+    """Ball level 4 (32,768 tets): the stored face tables take at most
+    6 MiB (10.7 MiB with int64 incidences and signs), and building the
+    complex peaks below 600 B per top (779 B from one concatenated copy
+    of every local face row and its sorted copy)."""
+    K = mesh.generate(mesh.ball(4))
+    stored = sum(a.nbytes for name in ("simplices", "faces_of_top",
+                                       "face_signs_of_top")
+                 for a in getattr(K, name))
+    assert stored <= 6 * 2 ** 20
+    tracemalloc.start()
+    try:
+        mesh.SimplicialComplex(3, K.vertices, K.tops)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 600 * len(K.tops)
