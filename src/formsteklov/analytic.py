@@ -8,10 +8,7 @@ mesh.
 
 import numpy as np
 
-from .errors import InvalidDomainError
 from .quadrature import adaptive_interval, adaptive_tensor
-
-_TOL = 1e-8
 
 
 def boundary_patches(spec):
@@ -35,9 +32,7 @@ def boundary_patches(spec):
         r_in, r_out = p
         return [_ellipsoid_patch(r_out, r_out, r_out, inner=False),
                 _ellipsoid_patch(r_in, r_in, r_in, inner=True)]
-    if fam == "box":
-        return _box_patches(*p)
-    raise InvalidDomainError(fam)
+    return _box_patches(*p)     # box; DomainSpec admits no other family
 
 
 def _ellipse_patch(a, b, inner):
@@ -155,14 +150,12 @@ def volume_patches(spec):
             return a * b * c * r ** 2 * np.sin(th)
 
         return [(ranges, point, jac)]
-    if fam == "box":
-        lx, ly, lz = p
-        ranges = [(0.0, lx), (0.0, ly), (0.0, lz)]
-        return [(ranges, lambda q: q, lambda q: np.ones(len(q)))]
-    raise InvalidDomainError(fam)
+    lx, ly, lz = p              # box; DomainSpec admits no other family
+    ranges = [(0.0, lx), (0.0, ly), (0.0, lz)]
+    return [(ranges, lambda q: q, lambda q: np.ones(len(q)))]
 
 
-def integrate_boundary(spec, integrand, tol=_TOL):
+def integrate_boundary(spec, integrand):
     """Integrate ``integrand(points, inner_normals) -> values`` over the
     smooth boundary."""
     total = 0.0
@@ -172,18 +165,18 @@ def integrate_boundary(spec, integrand, tol=_TOL):
             return integrand(pts, normal(params)) * weight(params)
 
         if len(ranges) == 1:
-            total += adaptive_interval(lambda t: f(t.reshape(-1, 1)), *ranges[0], tol=tol)
+            total += adaptive_interval(lambda t: f(t.reshape(-1, 1)), *ranges[0])
         else:
-            total += adaptive_tensor(f, ranges, tol=tol)
+            total += adaptive_tensor(f, ranges)
     return total
 
 
-def integrate_volume(spec, integrand, tol=_TOL):
+def integrate_volume(spec, integrand):
     """Integrate ``integrand(points) -> values`` over the smooth domain."""
     total = 0.0
     for ranges, point, jac in volume_patches(spec):
         def f(params):
             return integrand(point(params)) * jac(params)
 
-        total += adaptive_tensor(f, ranges, tol=tol)
+        total += adaptive_tensor(f, ranges)
     return total

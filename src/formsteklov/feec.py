@@ -58,10 +58,8 @@ def barycentric_gradients(K: SimplicialComplex, tops=slice(None)):
 
 
 def _batched_minor_det(g, rows, cols):
-    """det of g[:, rows][:, cols] for index tuples rows/cols (possibly empty)."""
+    """det of g[:, rows][:, cols] for nonempty index tuples rows/cols."""
     q = len(rows)
-    if q == 0:
-        return np.ones(g.shape[0])
     sub = g[:, np.array(rows)[:, None], np.array(cols)[None, :]]
     if q == 1:
         return sub[:, 0, 0]
@@ -129,7 +127,16 @@ def _assemble(K: SimplicialComplex, p: int, element, tops=slice(None)):
         local *= gsgn[chunk, None, :]
         data.view(drow)[rank[nb * start:nb * (start + _CHUNK)]] = local.view(drow).ravel()
     A = sparse.csr_matrix((data, indices, occ.indptr.astype(idx) * nb), shape=(n, n))
+    del occ, rank, local, data, indices
     A.sum_duplicates()
+    return _owning(A)
+
+
+def _owning(A):
+    # scipy's prune keeps a view of arrays it fills at least half, and the
+    # view would keep the whole unsummed array alive
+    if A.data.base is not None:
+        A.data, A.indices = A.data.copy(), A.indices.copy()
     return A
 
 
@@ -170,14 +177,14 @@ def stiffness(K: SimplicialComplex, q: int):
 def tangential_trace(K: SimplicialComplex, p: int):
     """Trace matrix from volume p-cochains onto boundary p-cochains.
 
-    One signed unit entry per boundary simplex; the sign reconciles the
-    stored vertex orders of the two complexes.  Pullback commutes with the
-    coboundary exactly (integer identity)."""
+    One signed unit entry per boundary simplex, read from K (see
+    mesh.BoundaryComplex): the sign is ``K.boundary_signs`` at the top
+    boundary degree and 1 below.  Pullback commutes with the coboundary
+    exactly (integer identity)."""
     if not 0 <= p <= K.dim - 1:
         raise ValueError(f"degree {p} out of range for the boundary")
-    bc = K.boundary_complex()
-    idx = bc.parent_index[p]
-    sgn = bc.parent_sign[p]
+    idx = K.boundary_simplices[p]
+    sgn = K.boundary_signs if p == K.dim - 1 else np.ones(len(idx))
     T = sparse.coo_matrix((sgn.astype(float), (np.arange(len(idx)), idx)),
                           shape=(len(idx), K.n_simplices(p)))
     return T.tocsr()
@@ -208,7 +215,7 @@ def normal_trace_form(K: SimplicialComplex, q: int):
     if q == d:
         return F
     Tr = tangential_trace(K, q)
-    return (F - Tr.T @ mass_matrix(K.boundary_complex(), q) @ Tr).tocsr()
+    return _owning((F - Tr.T @ mass_matrix(K.boundary_complex(), q) @ Tr).tocsr())
 
 
 def integrate_analytic(spec, field: FormField, what: str) -> float:

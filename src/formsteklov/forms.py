@@ -4,6 +4,8 @@ A field is stored by its components on the ascending coordinate basis
 dx_{i1} ^ ... ^ dx_{ip}; each component is a vectorized callable of the
 point array.  These provide the test fields (constant-coefficient forms and
 differentials of harmonic polynomials) for the boundary/volume norm ratios.
+Each harmonic polynomial is written once; its gradient is taken from it by
+complex-step differentiation, never written out by hand.
 """
 
 import itertools
@@ -68,17 +70,16 @@ class FormField:
         return out
 
 
-def parallel_form(dim, indices, name=None):
+def parallel_form(dim, indices):
     """Constant-coefficient unit form dx_{i1} ^ ... ^ dx_{ip}."""
     idx = tuple(indices)
-    label = name or ("dx" + "".join(str(i + 1) for i in idx))
+    label = "dx" + "".join(str(i + 1) for i in idx)
     return FormField(dim, len(idx), {idx: lambda pts: np.ones(len(pts))}, name=label)
 
 
 def gradient_field(dim, partials, name=""):
     """The 1-form df from its partial derivatives."""
-    comps = {(i,): (lambda f: (lambda pts: f(pts)))(g) for i, g in enumerate(partials)}
-    return FormField(dim, 1, comps, name=name)
+    return FormField(dim, 1, {(i,): g for i, g in enumerate(partials)}, name=name)
 
 
 def _cube_invariant(x, y, z):
@@ -88,90 +89,63 @@ def _cube_invariant(x, y, z):
     return x2 * x2 + y2 * y2 + z2 * z2 - 3 * (x2 * y2 + y2 * z2 + z2 * x2)
 
 
+def _re_z8(x, y):
+    # z^2 squared twice: bit for bit ((x + 1j*y) ** 8).real, in real terms
+    a, b = x * x - y * y, 2 * x * y
+    a, b = a * a - b * b, 2 * a * b
+    return a * a - b * b
+
+
+_POLYNOMIALS = {
+    2: (("Re z^1", lambda x, y: x),
+        ("Im z^1", lambda x, y: y),
+        ("Re z^2", lambda x, y: x ** 2 - y ** 2),
+        ("Im z^2", lambda x, y: 2 * x * y),
+        ("Re z^3", lambda x, y: x ** 3 - 3 * x * y ** 2),
+        ("Im z^3", lambda x, y: 3 * x ** 2 * y - y ** 3),
+        ("Re z^4", lambda x, y: x ** 4 - 6 * x ** 2 * y ** 2 + y ** 4),
+        ("Im z^4", lambda x, y: 4 * x ** 3 * y - 4 * x * y ** 3),
+        ("Re z^8", _re_z8)),
+    3: (("x", lambda x, y, z: x),
+        ("y", lambda x, y, z: y),
+        ("z", lambda x, y, z: z),
+        ("xy", lambda x, y, z: x * y),
+        ("yz", lambda x, y, z: y * z),
+        ("xz", lambda x, y, z: x * z),
+        ("x2-y2", lambda x, y, z: x ** 2 - y ** 2),
+        ("2z2-x2-y2", lambda x, y, z: 2 * z ** 2 - x ** 2 - y ** 2),
+        ("xyz", lambda x, y, z: x * y * z),
+        ("x(x2-3y2)", lambda x, y, z: x * (x ** 2 - 3 * y ** 2)),
+        ("z(x2-y2)", lambda x, y, z: z * (x ** 2 - y ** 2)),
+        ("x(4z2-x2-y2)", lambda x, y, z: x * (4 * z ** 2 - x ** 2 - y ** 2)),
+        ("z(2z2-3x2-3y2)", lambda x, y, z: z * (2 * z ** 2 - 3 * x ** 2 - 3 * y ** 2)),
+        ("x4+y4+z4-3(x2y2+y2z2+z2x2)", _cube_invariant)),
+}
+_STEP = 1e-30   # nothing cancels in Im f, so the O(h^2) error can vanish
+
+
+def _partial(f, k):
+    """d f / d x_k of a real polynomial f as Im f(x + i h e_k) / h, exact
+    to rounding (Squire & Trapp, SIAM Review 40, 1998)."""
+    def df(pts):
+        z = pts.astype(complex)
+        z[:, k] += 1j * _STEP
+        return f(*z.T).imag / _STEP
+    return df
+
+
 def harmonic_polynomials(dim):
-    """Non-constant harmonic polynomials with analytic gradients.
+    """Non-constant harmonic polynomials with their gradients.
 
     Returns a list of (name, f, [partials]) with f and each partial a
-    vectorized callable; planar families are the real/imaginary parts of
-    (x+iy)^m (m <= 4), spatial ones are real solid harmonics (degree <= 3).
-    Each family ends with the lowest harmonic polynomial invariant under
-    the symmetry group of the square (Re z^8) or the cube (degree 4): a
-    mesh with that symmetry averages every other member to zero on the
-    volume and on the boundary alike.
+    vectorized callable of the point array; planar families are the
+    real/imaginary parts of (x+iy)^m (m <= 4), spatial ones are real solid
+    harmonics (degree <= 3).  Each family ends with the lowest harmonic
+    polynomial invariant under the symmetry group of the square (Re z^8)
+    or the cube (degree 4): a mesh with that symmetry averages every other
+    member to zero on the volume and on the boundary alike.  Each member
+    is one real expression, free of complex constants and ``.real``, since
+    its partials are complex steps of it.
     """
-    if dim == 2:
-        out = []
-        specs = [
-            ("Re z^1", lambda x, y: x, [lambda x, y: 1 + 0 * x, lambda x, y: 0 * x]),
-            ("Im z^1", lambda x, y: y, [lambda x, y: 0 * x, lambda x, y: 1 + 0 * x]),
-            ("Re z^2", lambda x, y: x ** 2 - y ** 2,
-             [lambda x, y: 2 * x, lambda x, y: -2 * y]),
-            ("Im z^2", lambda x, y: 2 * x * y,
-             [lambda x, y: 2 * y, lambda x, y: 2 * x]),
-            ("Re z^3", lambda x, y: x ** 3 - 3 * x * y ** 2,
-             [lambda x, y: 3 * x ** 2 - 3 * y ** 2, lambda x, y: -6 * x * y]),
-            ("Im z^3", lambda x, y: 3 * x ** 2 * y - y ** 3,
-             [lambda x, y: 6 * x * y, lambda x, y: 3 * x ** 2 - 3 * y ** 2]),
-            ("Re z^4", lambda x, y: x ** 4 - 6 * x ** 2 * y ** 2 + y ** 4,
-             [lambda x, y: 4 * x ** 3 - 12 * x * y ** 2,
-              lambda x, y: -12 * x ** 2 * y + 4 * y ** 3]),
-            ("Im z^4", lambda x, y: 4 * x ** 3 * y - 4 * x * y ** 3,
-             [lambda x, y: 12 * x ** 2 * y - 4 * y ** 3,
-              lambda x, y: 4 * x ** 3 - 12 * x * y ** 2]),
-            ("Re z^8", lambda x, y: ((x + 1j * y) ** 8).real,
-             [lambda x, y: (8 * (x + 1j * y) ** 7).real,
-              lambda x, y: -(8 * (x + 1j * y) ** 7).imag]),
-        ]
-        for name, f, grads in specs:
-            out.append((
-                name,
-                (lambda f=f: lambda pts: f(pts[:, 0], pts[:, 1]))(),
-                [(lambda g=g: lambda pts: g(pts[:, 0], pts[:, 1]))() for g in grads],
-            ))
-        return out
-
-    specs3 = [
-        ("x", lambda x, y, z: x, [lambda x, y, z: 1 + 0 * x, lambda x, y, z: 0 * x,
-                                  lambda x, y, z: 0 * x]),
-        ("y", lambda x, y, z: y, [lambda x, y, z: 0 * x, lambda x, y, z: 1 + 0 * x,
-                                  lambda x, y, z: 0 * x]),
-        ("z", lambda x, y, z: z, [lambda x, y, z: 0 * x, lambda x, y, z: 0 * x,
-                                  lambda x, y, z: 1 + 0 * x]),
-        ("xy", lambda x, y, z: x * y,
-         [lambda x, y, z: y, lambda x, y, z: x, lambda x, y, z: 0 * x]),
-        ("yz", lambda x, y, z: y * z,
-         [lambda x, y, z: 0 * x, lambda x, y, z: z, lambda x, y, z: y]),
-        ("xz", lambda x, y, z: x * z,
-         [lambda x, y, z: z, lambda x, y, z: 0 * x, lambda x, y, z: x]),
-        ("x2-y2", lambda x, y, z: x ** 2 - y ** 2,
-         [lambda x, y, z: 2 * x, lambda x, y, z: -2 * y, lambda x, y, z: 0 * x]),
-        ("2z2-x2-y2", lambda x, y, z: 2 * z ** 2 - x ** 2 - y ** 2,
-         [lambda x, y, z: -2 * x, lambda x, y, z: -2 * y, lambda x, y, z: 4 * z]),
-        ("xyz", lambda x, y, z: x * y * z,
-         [lambda x, y, z: y * z, lambda x, y, z: x * z, lambda x, y, z: x * y]),
-        ("x(x2-3y2)", lambda x, y, z: x * (x ** 2 - 3 * y ** 2),
-         [lambda x, y, z: 3 * x ** 2 - 3 * y ** 2, lambda x, y, z: -6 * x * y,
-          lambda x, y, z: 0 * x]),
-        ("z(x2-y2)", lambda x, y, z: z * (x ** 2 - y ** 2),
-         [lambda x, y, z: 2 * x * z, lambda x, y, z: -2 * y * z,
-          lambda x, y, z: x ** 2 - y ** 2]),
-        ("x(4z2-x2-y2)", lambda x, y, z: x * (4 * z ** 2 - x ** 2 - y ** 2),
-         [lambda x, y, z: 4 * z ** 2 - 3 * x ** 2 - y ** 2, lambda x, y, z: -2 * x * y,
-          lambda x, y, z: 8 * x * z]),
-        ("z(2z2-3x2-3y2)", lambda x, y, z: z * (2 * z ** 2 - 3 * x ** 2 - 3 * y ** 2),
-         [lambda x, y, z: -6 * x * z, lambda x, y, z: -6 * y * z,
-          lambda x, y, z: 6 * z ** 2 - 3 * x ** 2 - 3 * y ** 2]),
-        ("x4+y4+z4-3(x2y2+y2z2+z2x2)", _cube_invariant,
-         [lambda x, y, z: 4 * x ** 3 - 6 * x * (y ** 2 + z ** 2),
-          lambda x, y, z: 4 * y ** 3 - 6 * y * (z ** 2 + x ** 2),
-          lambda x, y, z: 4 * z ** 3 - 6 * z * (x ** 2 + y ** 2)]),
-    ]
-    out = []
-    for name, f, grads in specs3:
-        out.append((
-            name,
-            (lambda f=f: lambda pts: f(pts[:, 0], pts[:, 1], pts[:, 2]))(),
-            [(lambda g=g: lambda pts: g(pts[:, 0], pts[:, 1], pts[:, 2]))()
-             for g in grads],
-        ))
-    return out
+    return [(name, lambda pts, f=f: f(*pts.T), [_partial(f, k) for k in range(dim)])
+            for name, f in _POLYNOMIALS[dim]]

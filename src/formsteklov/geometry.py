@@ -10,7 +10,6 @@ curvatures w.r.t. the inner normal of the domain are negative.
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidDomainError
 from .mesh import DomainSpec
 
 
@@ -81,10 +80,8 @@ def analytic_geometry(spec: DomainSpec) -> GeometryReport:
         area = 4 * math.pi * (r_out ** 2 + r_in ** 2)
         s1, s2 = -1.0 / r_in, -2.0 / r_in
         return GeometryReport(2, vol, area, area / vol, (s1, s2), s2 / 2, False)
-    if fam == "box":
-        lx, ly, lz = p
-        vol = lx * ly * lz
-        area = 2 * (lx * ly + ly * lz + lx * lz)
-        # flat faces; edge/corner non-smoothness accepted, bounds degenerate
-        return GeometryReport(2, vol, area, area / vol, (0.0, 0.0), 0.0, True)
-    raise InvalidDomainError(fam)
+    lx, ly, lz = p              # box; DomainSpec admits no other family
+    vol = lx * ly * lz
+    area = 2 * (lx * ly + ly * lz + lx * lz)
+    # flat faces; edge/corner non-smoothness accepted, bounds degenerate
+    return GeometryReport(2, vol, area, area / vol, (0.0, 0.0), 0.0, True)

@@ -11,6 +11,7 @@ from .errors import ConvergenceError
 
 _PIVOT_THRESH = 1e-8    # share of its column's largest entry below which
                         # a diagonal pivot is traded off the diagonal
+RESIDUAL_TOL = 1e-8     # relative eigenpair residual the solvers accept
 
 
 def symmetric_lu(S):

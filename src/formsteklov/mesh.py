@@ -5,7 +5,7 @@ refinement with boundary snapping, oriented boundary extraction, signed
 incidence (coboundary) matrices, mod-2 Betti numbers, and a plain-text
 file format.  The face tables of the tops are found once per degree, by
 one ``np.unique`` over the packed int64 keys of the sorted local vertex
-subsets; every incidence (coboundary, boundary, parent maps) is gathered
+subsets; every incidence (coboundary, boundary, boundary complex) is gathered
 from them, never searched for again.  ``faces_of_top`` is int32 and
 ``face_signs_of_top`` int8; every other index table is int64.
 
@@ -174,10 +174,8 @@ def _signed_volumes(vertices: np.ndarray, tops: np.ndarray) -> np.ndarray:
 
 
 def simplex_measures(vertices: np.ndarray, simp: np.ndarray) -> np.ndarray:
-    """Unsigned k-volumes of (possibly embedded) simplices."""
+    """Unsigned k-volumes (k >= 1) of (possibly embedded) simplices."""
     k = simp.shape[1] - 1
-    if k == 0:
-        return np.ones(len(simp))
     v = vertices[simp]
     e = v[:, 1:, :] - v[:, :1, :]
     gram = np.einsum("nij,nkj->nik", e, e)
@@ -247,11 +245,6 @@ class SimplicialComplex:
 
     def _extract_boundary(self):
         d = self.dim
-        if d == 0:
-            self.boundary_faces = np.zeros(0, dtype=np.int64)
-            self.boundary_signs = np.zeros(0, dtype=np.int64)
-            self.boundary_simplices = [np.zeros(0, dtype=np.int64)]
-            return
         fot = self.faces_of_top[d - 1]          # (nt, d+1) global indices
         counts = np.bincount(fot.ravel(), minlength=self.n_simplices(d - 1))
         if np.any(counts > 2) or np.any(counts == 0):
@@ -287,43 +280,30 @@ class SimplicialComplex:
             raise NonManifoldError("boundary complex is not closed")
 
     def boundary_complex(self) -> "BoundaryComplex":
-        """The induced complex of the boundary, with parent maps."""
+        """The induced complex of the boundary (see BoundaryComplex)."""
         if self._bc is None:
             self._bc = BoundaryComplex._build(self)
         return self._bc
 
 
 class BoundaryComplex(SimplicialComplex):
-    """The boundary of a volume complex as a complex of its own.
+    """The boundary of a volume complex K as a complex of its own.
 
-    Tops realize the induced (outward) orientation.  ``parent_index[k]`` and
-    ``parent_sign[k]`` map each boundary k-simplex to the matching k-simplex
-    of the parent complex and give the relative orientation of the stored
-    vertex orders.
+    Boundary k-simplex j is K's k-simplex ``K.boundary_simplices[k][j]``:
+    the vertex renumbering is monotone, so vertex orders agree, except that
+    a top swaps its last two vertices where ``K.boundary_signs`` is -1 and
+    so carries the induced (outward) orientation.
     """
 
     @classmethod
     def _build(cls, K: SimplicialComplex):
-        d = K.dim
-        bfaces = K.simplices[d - 1][K.boundary_faces]
         used = K.boundary_simplices[0]
         new_of_old = -np.ones(K.n_simplices(0), dtype=np.int64)
         new_of_old[used] = np.arange(len(used))
-        tops = new_of_old[bfaces]
+        tops = new_of_old[K.simplices[K.dim - 1][K.boundary_faces]]
         flip = K.boundary_signs == -1
-        if np.any(flip):
-            tops[flip] = np.concatenate(
-                [tops[flip, :-2], tops[flip, -1:], tops[flip, -2:-1]], axis=1)
-        sc = cls(d - 1, K.vertices[used], tops)
-        # the renumbering is monotone, so each lower boundary simplex keeps
-        # its ascending vertex order and its parent's rank; a top is its
-        # boundary face, flipped where the induced orientation is negative
-        parent_index = list(K.boundary_simplices)
-        parent_sign = [np.ones(len(idx), dtype=np.int64)
-                       for idx in parent_index[:-1]] + [K.boundary_signs]
-        sc.parent_index = parent_index
-        sc.parent_sign = parent_sign
-        return sc
+        tops[flip, -2:] = tops[flip, :-3:-1]
+        return cls(K.dim - 1, K.vertices[used], tops)
 
     def components(self):
         """Connected components as sorted lists of top-simplex indices,
@@ -433,11 +413,8 @@ def betti(K: SimplicialComplex):
 
 def _orient_tops(vertices, tops):
     tops = np.array(tops, dtype=np.int64)
-    vols = _signed_volumes(np.asarray(vertices, float), tops)
-    neg = vols < 0
-    if np.any(neg):
-        tops[neg] = np.concatenate(
-            [tops[neg, :-2], tops[neg, -1:], tops[neg, -2:-1]], axis=1)
+    neg = _signed_volumes(np.asarray(vertices, float), tops) < 0
+    tops[neg, -2:] = tops[neg, :-3:-1]
     return tops
 
 
@@ -605,10 +582,8 @@ def generate(spec: DomainSpec) -> SimplicialComplex:
         verts, tops = _base_ball()
         verts = verts * np.array(p)
         tops = _orient_tops(verts, tops)
-    elif fam == "box":
+    else:   # box; DomainSpec admits no other family
         verts, tops = _base_box(*p)
-    else:  # pragma: no cover
-        raise InvalidDomainError(fam)
     K = SimplicialComplex(spec.dim, verts, tops)
     for _ in range(spec.level):
         K = refine(K, spec)

@@ -13,6 +13,7 @@ import numpy as np
 from .errors import QuadratureError
 
 _gm_cache: dict = {}
+_TOL = 1e-8     # relative tolerance of the adaptive rules
 
 
 def simplex_rule(dim: int, degree: int):
@@ -50,25 +51,27 @@ def gauss_legendre(n: int):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def adaptive_interval(f, a: float, b: float, tol: float = 1e-8, max_n: int = 4096):
-    """Integrate a smooth scalar function on [a, b] by doubling Gauss rules.
+def adaptive_interval(f, a: float, b: float):
+    """Integrate a smooth scalar function on [a, b] by doubling Gauss rules
+    of 8 to 4096 points until two agree to relative tolerance _TOL.
 
     ``f`` is evaluated vectorized on arrays of abscissae.
     """
     prev = None
     n = 8
-    while n <= max_n:
+    while n <= 4096:
         x, w = gauss_legendre(n)
         val = (b - a) * float(np.dot(w, f(a + (b - a) * x)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
             return val
         prev = val
         n *= 2
     raise QuadratureError(f"interval quadrature did not converge (last={prev})")
 
 
-def adaptive_tensor(f, ranges, tol: float = 1e-8, max_n: int = 256):
-    """Integrate over a box by doubling tensor Gauss-Legendre rules.
+def adaptive_tensor(f, ranges):
+    """Integrate over a box by doubling tensor Gauss-Legendre rules of 4 to
+    256 points per axis until two agree to relative tolerance _TOL.
 
     ``ranges`` is a sequence of (lo, hi) pairs; ``f`` takes one (npts, k)
     array and returns values at those points.
@@ -76,7 +79,7 @@ def adaptive_tensor(f, ranges, tol: float = 1e-8, max_n: int = 256):
     k = len(ranges)
     prev = None
     n = 4
-    while n <= max_n:
+    while n <= 256:
         xs, ws = zip(*(gauss_legendre(n) for _ in range(k)))
         grids = np.meshgrid(*xs, indexing="ij")
         pts = np.stack([lo + (hi - lo) * g.ravel()
@@ -86,7 +89,7 @@ def adaptive_tensor(f, ranges, tol: float = 1e-8, max_n: int = 256):
             wgrid = np.multiply.outer(wgrid, wi)
         scale = math.prod(hi - lo for lo, hi in ranges)
         val = scale * float(np.dot(wgrid.ravel(), f(pts)))
-        if prev is not None and abs(val - prev) <= tol * max(1.0, abs(val)):
+        if prev is not None and abs(val - prev) <= _TOL * max(1.0, abs(val)):
             return val
         prev = val
         n *= 2

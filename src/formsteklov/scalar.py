@@ -32,10 +32,9 @@ import numpy as np
 
 from . import feec, mesh
 from .errors import ConvergenceError, SingularSystemError
-from .linalg import symmetric_lu, top_eigenpairs
+from .forms import harmonic_polynomials
+from .linalg import RESIDUAL_TOL, symmetric_lu, top_eigenpairs
 from .quadrature import simplex_rule
-
-_RESIDUAL_TOL = 1e-8
 
 
 @dataclass
@@ -55,7 +54,7 @@ def _scalar_operators(K: mesh.SimplicialComplex):
     order and the interior vertices."""
     stiff = feec.stiffness(K, 0)
     M0 = feec.mass_matrix(K, 0)
-    bv = K.boundary_complex().parent_index[0]
+    bv = K.boundary_simplices[0]
     interior = np.setdiff1d(np.arange(K.n_simplices(0)), bv)
     return stiff, M0, bv, interior
 
@@ -136,18 +135,13 @@ def _top_means(C: mesh.SimplicialComplex, family):
     return means
 
 
-def mean_value_gap(K: mesh.SimplicialComplex, family=None) -> float:
-    """Largest relative gap between the volume and boundary averages of a
-    family of harmonic polynomials (default: forms.harmonic_polynomials of
-    the ambient dimension), each gap relative to the largest |f| at the
-    boundary vertices and boundary quadrature points.  The averages are
-    numpy reductions, never BLAS dot products, so the gap does not depend
-    on the BLAS thread count."""
-    from .forms import harmonic_polynomials
-
-    if family is None:
-        family = [(name, f) for name, f, _ in harmonic_polynomials(K.dim)]
-    fs = [f for _, f in family]
+def mean_value_gap(K: mesh.SimplicialComplex) -> float:
+    """Largest relative gap between the volume and boundary averages of the
+    harmonic polynomials of forms.harmonic_polynomials, each gap relative
+    to the largest |f| at the boundary vertices and boundary quadrature
+    points.  The averages are numpy reductions, never BLAS dot products,
+    so the gap does not depend on the BLAS thread count."""
+    fs = [f for _, f, _ in harmonic_polynomials(K.dim)]
     bc = K.boundary_complex()
     averages = []
     for C in (K, bc):
@@ -175,7 +169,7 @@ def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
     columns of R.  Raises ConvergenceError when Lanczos fails or a
     relative residual
     ||R g - theta MS0 g|| / (theta ||MS0 g||) (infinity norms) exceeds
-    _RESIDUAL_TOL.
+    linalg.RESIDUAL_TOL.
     """
     stiff, M0, bv, interior = _scalar_operators(K)
     n, nb = K.n_simplices(0), len(bv)
@@ -197,8 +191,8 @@ def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
     MG = MS0 @ G
     res = (np.abs(RG - MG * theta[None, :]).max(axis=0)
            / (np.abs(theta) * np.abs(MG).max(axis=0)))
-    if not res.max() <= _RESIDUAL_TOL:
+    if not res.max() <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpairs of the {what} not converged: relative residual "
-            f"{res.max():.2e} > {_RESIDUAL_TOL:.0e}")
+            f"{res.max():.2e} > {RESIDUAL_TOL:.0e}")
     return np.sort(1.0 / theta)

@@ -48,10 +48,10 @@ from scipy import sparse
 
 from . import feec, mesh
 from .errors import ConvergenceError, SingularSystemError
-from .linalg import symmetric_lu, top_eigenpairs
+from .linalg import RESIDUAL_TOL, symmetric_lu, top_eigenpairs
 
 _SHIFT = -1.0
-_RESIDUAL_TOL = 1e-8
+_KERNEL_TOL = 1e-9       # |nu| below this share of max(1, |nu_k|) is kernel
 _DELTA = 1e-8            # quasi-definite diagonal shift of the non-sigma rows
 _REFINE_TOL = 1e-14      # backward error every solve is refined to
 _REFINE_RATE = 0.5       # each refinement step must halve the backward error
@@ -150,7 +150,7 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     of x in the exact pencil; the eigencochains are g = R x in the boundary
     ordering, normalized to g^T MS g = 1.  Raises ConvergenceError when
     Lanczos fails or a relative residual ||A x - nu B x|| / ((||A|| + |nu|
-    ||B||) ||x||) (infinity norms) exceeds _RESIDUAL_TOL,
+    ||B||) ||x||) (infinity norms) exceeds linalg.RESIDUAL_TOL,
     SingularSystemError when the factor is singular or a refinement stops
     converging (a NaN backward error included).
     """
@@ -199,11 +199,11 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     norm_A, norm_B = (float(abs(M).sum(axis=1).max()) for M in (A, B))
     res = (np.abs(r).max(axis=0)
            / ((norm_A + np.abs(vals) * norm_B) * np.abs(X).max(axis=0)))
-    if not res.max() <= _RESIDUAL_TOL:
+    if not res.max() <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"eigenpairs of {what} not converged: relative residual "
-            f"{res.max():.2e} > {_RESIDUAL_TOL:.0e}")
-    kd, gap = _kernel_count(vals, 1e-9)
+            f"{res.max():.2e} > {RESIDUAL_TOL:.0e}")
+    kd, gap = _kernel_count(vals)
     return SpectrumResult(
         degree=degree, dual=dual, eigenvalues=vals, eigencochains=R @ X,
         kernel_dim=kd, gap_ratio=gap, residuals=res, level=level,
@@ -213,15 +213,13 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
         solve_residual=worst)
 
 
-def _kernel_count(vals: np.ndarray, threshold: float):
-    ref = max(1.0, float(abs(vals[-1])))
-    kd = int(np.sum(np.abs(vals) < threshold * ref))
-    if kd == 0:
-        gap = abs(vals[0]) / (threshold * ref)
-    else:
-        below = abs(vals[kd - 1])
-        above = abs(vals[kd]) if kd < len(vals) else float("inf")
-        gap = above / max(below, 1e-300)
+def _kernel_count(vals: np.ndarray):
+    """Kernel dimension kd (the |nu| below _KERNEL_TOL max(1, |nu_k|))
+    and the gap ratio |nu_{kd+1}| / that threshold (inf when every value
+    is kernel), never over a kernel value, which is rounding noise."""
+    threshold = _KERNEL_TOL * max(1.0, float(abs(vals[-1])))
+    kd = int(np.sum(np.abs(vals) < threshold))
+    gap = abs(vals[kd]) / threshold if kd < len(vals) else float("inf")
     return kd, float(gap)
 
 

@@ -172,8 +172,6 @@ def default_levels(spec: mesh.DomainSpec):
 def scalar_levels(spec: mesh.DomainSpec):
     """Levels for the cheap scalar (exit-time / mean-value) studies; the
     flux defect needs deeper refinement than the eigenvalue studies."""
-    if spec.dim == 2:
-        return [2, 3, 4, 5]
     if spec.family == "ball":
         return [2, 3, 4, 5]
     return default_levels(spec)
@@ -272,23 +270,21 @@ class Lab:
         return _eigen_study(f"nu[{index + 1},{p}]({spec.label()})", levels,
                             vals, index < self.betti(spec)[p])
 
-    def nu_dual(self, spec, levels, p, index=0):
-        """Dual counterpart of ``nu``; its kernel is the Betti number of
-        the complementary degree n - p."""
-        vals = [float(self.dual(spec, l, p).eigenvalues[index]) for l in levels]
+    def nu_dual(self, spec, levels, p):
+        """Dual counterpart of ``nu`` for the first eigenvalue; its kernel
+        is the Betti number of the complementary degree n - p."""
+        vals = [float(self.dual(spec, l, p).eigenvalues[0]) for l in levels]
         n = spec.dim - 1
-        return _eigen_study(f"nuD[{index + 1},{p}]({spec.label()})", levels,
-                            vals, index < self.betti(spec)[n - p])
+        return _eigen_study(f"nuD[1,{p}]({spec.label()})", levels, vals,
+                            self.betti(spec)[n - p] > 0)
 
     def lambda1(self, spec, levels):
         vals = [self.lambda1_level(spec, l) for l in levels]
-        study = richardson(levels, vals, f"lambda1({spec.label()})")
-        return study.extrapolated, study.error_bar, study
+        return _eigen_study(f"lambda1({spec.label()})", levels, vals, False)
 
     def mu1(self, spec, levels):
         vals = [self.mu(spec, l) for l in levels]
-        study = richardson(levels, vals, f"mu1({spec.label()})")
-        return study.extrapolated, study.error_bar, study
+        return _eigen_study(f"mu1({spec.label()})", levels, vals, False)
 
 
 # ---------------------------------------------------------------------------

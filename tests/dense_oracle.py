@@ -80,4 +80,4 @@ def spectrum(lam, B, k):
     sym = np.abs(lam - lam.T).max() / np.abs(lam).max()
     vals = eigh(0.5 * (lam + lam.T), B, subset_by_index=[0, k - 1],
                 eigvals_only=True)
-    return vals, sym, steklov._kernel_count(vals, 1e-9)[0]
+    return vals, sym, steklov._kernel_count(vals)[0]

@@ -3,7 +3,8 @@ of ``formsteklov.mesh`` and the incidences it gathers from them.
 
 Face tables come from ``np.unique(axis=0)`` on whole vertex rows, and rows
 are found through a Python dict of tuples.  Slow on deep meshes, exact on
-all of them.
+all of them.  The parity of a sort is its own (from the cycles of the
+sorting permutation), never the inversion count of the code under test.
 """
 
 import itertools
@@ -11,7 +12,25 @@ import itertools
 import numpy as np
 from scipy import sparse
 
-from formsteklov.mesh import _sort_parity
+
+def _sort_parity(rows):
+    """Sorted copy of each row and the sign (+1/-1, int8) of the sorting
+    permutation, (-1)^(width - number of its cycles)."""
+    rows = np.asarray(rows)
+    n, w = rows.shape
+    perm = np.argsort(rows, axis=1)
+    seen = np.zeros((n, w), dtype=bool)
+    cycles = np.zeros(n, dtype=np.int64)
+    at = np.arange(n)
+    for start in range(w):
+        new = ~seen[:, start]          # start opens a cycle not yet walked
+        cycles += new
+        j = np.full(n, start)
+        for _ in range(w):             # no cycle is longer than w
+            seen[at, j] |= new
+            j = perm[at, j]
+    sign = np.where((w - cycles) % 2 == 0, 1, -1).astype(np.int8)
+    return np.take_along_axis(rows, perm, axis=1), sign
 
 
 def row_lookup(table, queries):
@@ -71,17 +90,15 @@ def boundary(dim, simplices, faces_of_top, face_signs_of_top):
 
 
 def parent_maps(parent_simplices, used, bc_simplices):
-    """parent_index and parent_sign of a boundary complex whose vertex i is
-    parent vertex used[i]."""
+    """For a boundary complex whose vertex i is parent vertex used[i]: the
+    parent index of each boundary k-simplex (the lookup fails unless a
+    lower boundary simplex keeps its ascending vertex order) and the
+    parity of each boundary top against its parent face."""
     d = len(bc_simplices)
-    index, sign = [None] * d, [None] * d
-    for k in range(d - 1):
-        rows = used[bc_simplices[k]]
-        index[k] = row_lookup(parent_simplices[k], rows)
-        sign[k] = np.ones(len(rows), dtype=np.int64)
-    srt, sign[d - 1] = _sort_parity(used[bc_simplices[d - 1]])
-    index[d - 1] = row_lookup(parent_simplices[d - 1], srt)
-    return index, sign
+    index = [row_lookup(parent_simplices[k], used[bc_simplices[k]])
+             for k in range(d - 1)]
+    srt, sign = _sort_parity(used[bc_simplices[d - 1]])
+    return index + [row_lookup(parent_simplices[d - 1], srt)], sign
 
 
 def coboundary(simplices, p):

@@ -32,12 +32,29 @@ def test_setup_path_does_not_load_scipy_special():
             "K = mesh.generate(mesh.disk(2)); "
             "[steklov.solve_primal(K, p) for p in (0, 1)]; "
             "print('scipy.special' in sys.modules)")
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
                          capture_output=True, text=True, check=True).stdout
     assert out == "False\n"
+
+
+def _src_env():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_module_entry_point_passes_the_exit_code_through(tmp_path):
+    """``python -m formsteklov`` exits with the CLI's code: 0 for a mesh
+    written, 2 for an ellipse with a < b."""
+    def gen(*flags):
+        return subprocess.run(
+            [sys.executable, "-m", "formsteklov", "gen", *flags,
+             "--out", "m.smesh"], cwd=tmp_path, env=_src_env(),
+            capture_output=True, text=True, timeout=120).returncode
+
+    assert gen("--domain", "disk", "--level", "0") == 0
+    assert mesh.read_mesh(tmp_path / "m.smesh").n_simplices(2) == 8
+    assert gen("--domain", "ellipse", "--a", "0.5", "--b", "1") == 2
 
 
 def test_gen_ball_level2(tmp_path):

@@ -21,7 +21,7 @@ def test_exit_time_disk():
     assert r.defect < 0.05
     # interior positivity (discrete maximum principle on these meshes)
     interior = np.setdiff1d(np.arange(K.n_simplices(0)),
-                            K.boundary_complex().parent_index[0])
+                            K.boundary_simplices[0])
     assert r.E[interior].min() > 0
 
 
@@ -290,7 +290,7 @@ def test_box_level4_biharmonic_needs_few_stiffness_solves(monkeypatch):
     """Box level 4 has nb = 1538; building the harmonic extension took one
     stiffness solve per boundary vertex, Lanczos takes a few dozen."""
     K = mesh.generate(mesh.box(1, 1, 1, 4))
-    nb = len(K.boundary_complex().parent_index[0])
+    nb = len(K.boundary_simplices[0])
     n_interior = K.n_simplices(0) - nb
     solves = []
     true_lu = scalar.symmetric_lu

@@ -323,7 +323,7 @@ def test_spectra_never_read_the_triangular_factors(monkeypatch):
     K = mesh.generate(mesh.box(1, 1, 1, 2))
     for p in range(3):
         for r in (steklov.solve_primal(K, p), steklov.dual_spectrum(K, p)):
-            assert r.fill > 0 and r.residuals.max() <= steklov._RESIDUAL_TOL
+            assert r.fill > 0 and r.residuals.max() <= linalg.RESIDUAL_TOL
 
 
 def test_noise_pivot_pencils_build_one_unshifted_factor(monkeypatch):

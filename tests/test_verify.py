@@ -96,6 +96,22 @@ def test_kernel_check_can_fail():
     assert [r.verdict for r in rows] == [verify.FAIL, verify.FAIL]
 
 
+def test_kernel_gap_is_measured_against_the_threshold():
+    """5e-8 is no kernel value, but it lies only 25 times above the kernel
+    threshold 1e-9 max(1, |nu_k|) = 2e-9, so CHK-KER fails.  Against the
+    rounding-noise kernel value 1e-15 the gap would read 5e7 and pass."""
+    vals = np.array([1e-15, 5e-8, 1.0, 2.0])
+    kd, gap = steklov._kernel_count(vals)
+    assert kd == 1 and gap == pytest.approx(25.0)
+    assert steklov._kernel_count(np.array([1e-15, 2e-12]))[1] == np.inf
+    lab = verify.Lab()
+    lab.primal = lambda spec, level, p: steklov.SpectrumResult(
+        p, False, vals, None, kd, gap, np.zeros(len(vals)))
+    rows = verify.run_check("CHK-KER", mesh.disk(), levels=[1, 2, 3], lab=lab)
+    assert rows[0].case == "p=0" and rows[0].verdict == verify.FAIL
+    assert rows[0].lhs == rows[0].rhs == 1.0
+
+
 def test_dual_check_can_fail():
     """Halving every dual eigenvalue turns the disk's CHK-DUAL row from
     PASS to FAIL."""
@@ -214,5 +230,6 @@ def test_mv_check_can_fail(monkeypatch):
     monkeypatch.setattr(lab, "exit_time", lambda spec, level: exact)
     (row,) = verify.run_check("CHK-MV", spec, levels=[2], lab=lab)
     assert row.verdict == verify.FAIL and row.lhs > 1e-3
-    symmetric = [(name, f) for name, f, _ in forms.harmonic_polynomials(3)]
-    assert scalar.mean_value_gap(lab.mesh(spec, 2), symmetric[:-1]) < 1e-12
+    symmetric = forms.harmonic_polynomials(3)[:-1]
+    monkeypatch.setattr(scalar, "harmonic_polynomials", lambda dim: symmetric)
+    assert scalar.mean_value_gap(lab.mesh(spec, 2)) < 1e-12
