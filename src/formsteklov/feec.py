@@ -127,7 +127,6 @@ def _assemble(K: SimplicialComplex, p: int, element, tops=slice(None)):
         local *= gsgn[chunk, None, :]
         data.view(drow)[rank[nb * start:nb * (start + _CHUNK)]] = local.view(drow).ravel()
     A = sparse.csr_matrix((data, indices, occ.indptr.astype(idx) * nb), shape=(n, n))
-    del occ, rank, local, data, indices
     A.sum_duplicates()
     return _owning(A)
 
