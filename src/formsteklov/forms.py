@@ -144,8 +144,8 @@ def harmonic_polynomials(dim):
     polynomial invariant under the symmetry group of the square (Re z^8)
     or the cube (degree 4): a mesh with that symmetry averages every other
     member to zero on the volume and on the boundary alike.  Each member
-    is one real expression, free of complex constants and ``.real``, since
-    its partials are complex steps of it.
+    is one real expression (Re z^8 squares z^2 twice), free of complex
+    constants and ``.real``, since its partials are complex steps of it.
     """
     return [(name, lambda pts, f=f: f(*pts.T), [_partial(f, k) for k in range(dim)])
             for name, f in _POLYNOMIALS[dim]]
