@@ -208,7 +208,8 @@ def cmd_verify(args) -> int:
         return _reject(f"unknown check id {', '.join(unknown)}")
     lab = verify.Lab()
     report = verify.run_suite([spec], levels=levels, ids=ids, lab=lab)
-    payload = {"config": _resolved_config(args), **report.to_json()}
+    payload = {"config": _resolved_config(args), **report.to_json(),
+               "spectra": lab.spectrum_records()}
     prefix = args.report or "verify_report"
     with open(prefix + ".json", "w", encoding="utf-8") as f:
         json.dump(payload, f, indent=2, sort_keys=True)

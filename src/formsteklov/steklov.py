@@ -214,9 +214,13 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
 
 
 def _kernel_count(vals: np.ndarray):
-    """Kernel dimension kd (the |nu| below _KERNEL_TOL max(1, |nu_k|))
-    and the gap ratio |nu_{kd+1}| / that threshold (inf when every value
-    is kernel), never over a kernel value, which is rounding noise."""
+    """Kernel dimension kd (the |nu| below _KERNEL_TOL max(1, |nu_k|),
+    nu_k the last computed value) and the gap ratio |nu_{kd+1}| / that
+    threshold (inf when every value is kernel), never over a kernel
+    value, which is rounding noise.  verify.Lab computes k = b_p + 1
+    values, so a kernel of the right size has nu_k = nu_{kd+1}, a gap
+    ratio of 1e9 whenever nu_{b_p+1} >= 1 and a CHK-KER margin of
+    1e7 - 1; a kernel one too large or one too small leaves kd != b_p."""
     threshold = _KERNEL_TOL * max(1.0, float(abs(vals[-1])))
     kd = int(np.sum(np.abs(vals) < threshold))
     gap = abs(vals[kd]) / threshold if kd < len(vals) else float("inf")

@@ -200,12 +200,14 @@ def _eigen_study(quantity, levels, vals, in_kernel):
     return study.extrapolated, study.error_bar, study
 
 
-_K_EIGEN = 8     # eigenvalues computed per spectrum
-
-
 class Lab:
     """Memoizing provider of meshes, spectra and derived quantities, keyed
-    on the exact domain parameters (never on the rounded report label)."""
+    on the exact domain parameters (never on the rounded report label).
+
+    A spectrum is computed only as far as the checks read it: b_p + 1
+    primal eigenpairs at degree p (the kernel and the first value above
+    it, which is nu_{2,0} at p = 0 on a connected domain) and the first
+    dual eigenpair."""
 
     def __init__(self):
         self._cache = {}
@@ -233,13 +235,22 @@ class Lab:
         return self._get(
             ("primal", spec.family, spec.params, level, p),
             lambda: steklov.solve_primal(self.mesh(spec, level), p,
-                                         k=_K_EIGEN, level=level))
+                                         k=self.betti(spec)[p] + 1,
+                                         level=level))
 
     def dual(self, spec, level, p) -> steklov.SpectrumResult:
         return self._get(
             ("dual", spec.family, spec.params, level, p),
-            lambda: steklov.dual_spectrum(self.mesh(spec, level), p,
-                                          k=_K_EIGEN, level=level))
+            lambda: steklov.dual_spectrum(self.mesh(spec, level), p, k=1,
+                                          level=level))
+
+    def spectrum_records(self):
+        """The record of every Steklov spectrum computed so far, in the
+        order computed: the domain family, then the spectrum's own JSON
+        (no wall time, so fixed inputs give identical records)."""
+        return [{"family": key[1], **r.to_json()}
+                for key, r in self._cache.items()
+                if key[0] in ("primal", "dual")]
 
     def exit_time(self, spec, level) -> scalar.ExitTimeResult:
         return self._get(("exit", spec.family, spec.params, level),

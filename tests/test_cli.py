@@ -217,6 +217,37 @@ def test_verify_kernel_check_annulus(tmp_path, monkeypatch):
     assert (tmp_path / "rep_levels.csv").exists()
 
 
+def test_verify_report_records_every_spectrum(tmp_path, monkeypatch):
+    """<report>.json holds one work record per Steklov spectrum the Lab
+    computed, with as many eigenvalues as the checks read (b_p + 1 primal,
+    one dual), and their solves add up to those of every spectrum
+    solved."""
+    computed = []
+    pencil = steklov._pencil_spectrum
+
+    def recorded(*args, **kwargs):
+        computed.append(pencil(*args, **kwargs))
+        return computed[-1]
+
+    monkeypatch.setattr(steklov, "_pencil_spectrum", recorded)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["verify", "--domain", "disk", "--levels", "1", "2", "3",
+                     "--checks", "CHK-KER,CHK-DUAL", "--report", "rep"]) == 0
+    data = json.loads((tmp_path / "rep.json").read_text())
+    if jsonschema:
+        jsonschema.validate(data, _schema("report.schema.json"))
+    records = data["spectra"]
+    assert len(records) == len(computed) == 7
+    assert sum(r["solves"] for r in records) == sum(
+        r.solves for r in computed) > 0
+    counts = {(r["degree"], r["dual"], r["level"]): len(r["eigenvalues"])
+              for r in records}
+    assert counts == {(0, False, 3): 2, (1, False, 1): 1, (1, False, 2): 1,
+                      (1, False, 3): 1, (0, True, 1): 1, (0, True, 2): 1,
+                      (0, True, 3): 1}
+    assert {r["family"] for r in records} == {"disk"}
+
+
 def test_verify_outputs_deterministic(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     args = ["verify", "--domain", "disk", "--levels", "1", "2", "3",

@@ -96,6 +96,23 @@ def test_kernel_check_can_fail():
     assert [r.verdict for r in rows] == [verify.FAIL, verify.FAIL]
 
 
+@pytest.mark.parametrize("betti,wrong", [((0, 0, 0), 0), ((1, 1, 0), 1)],
+                         ids=["b0=0", "b1=1"])
+def test_kernel_check_fails_on_a_wrong_betti_number(betti, wrong):
+    """The Lab computes b_p + 1 eigenpairs per degree, and on real disk
+    spectra that still shows a kernel one too large (b_0 reported as 0:
+    the constant mode is counted anyway) or one too small (b_1 reported
+    as 1: the disk has no harmonic 1-field)."""
+    lab = verify.Lab()
+    lab.betti = lambda spec: betti
+    rows = verify.run_check("CHK-KER", mesh.disk(), levels=[1, 2, 3], lab=lab)
+    assert [r.verdict for r in rows] == [
+        verify.FAIL if p == wrong else verify.PASS for p in (0, 1)]
+    assert rows[wrong].lhs == 1 - betti[wrong]
+    assert [len(lab.primal(mesh.disk(), 3, p).eigenvalues)
+            for p in (0, 1)] == [b + 1 for b in betti[:2]]
+
+
 def test_kernel_gap_is_measured_against_the_threshold():
     """5e-8 is no kernel value, but it lies only 25 times above the kernel
     threshold 1e-9 max(1, |nu_k|) = 2e-9, so CHK-KER fails.  Against the
@@ -112,21 +129,31 @@ def test_kernel_gap_is_measured_against_the_threshold():
     assert rows[0].lhs == rows[0].rhs == 1.0
 
 
-def test_dual_check_can_fail():
-    """Halving every dual eigenvalue turns the disk's CHK-DUAL row from
-    PASS to FAIL."""
+@pytest.mark.parametrize("spec", [mesh.disk(), mesh.ball()],
+                         ids=["disk", "ball"])
+def test_dual_check_can_fail(spec):
+    """Halving every dual p=0 eigenvalue turns the CHK-DUAL p=0 row from
+    PASS to FAIL, on the disk and on the ball at levels 1-3, the coarsest
+    at which the ball's row passes unhalved; the ball's p=1 row is
+    untouched.  The box cannot fail this way: its halved relative gap,
+    0.638, stays inside the tolerance 0.926 that its extrapolation error
+    bars allow."""
     lab = verify.Lab()
-    (row,) = verify.run_check("CHK-DUAL", mesh.disk(), lab=lab)
-    assert row.verdict == verify.PASS
+    rows = verify.run_check("CHK-DUAL", spec, lab=lab)
+    assert {r.verdict for r in rows} == {verify.PASS}
     dual = lab.dual
 
     def halved(spec, level, p):
         r = dual(spec, level, p)
+        if p:
+            return r
         return dataclasses.replace(r, eigenvalues=0.5 * r.eigenvalues)
 
     lab.dual = halved
-    (row,) = verify.run_check("CHK-DUAL", mesh.disk(), lab=lab)
-    assert row.verdict == verify.FAIL and row.margin < 0
+    first, *rest = verify.run_check("CHK-DUAL", spec, lab=lab)
+    assert first.case == "p=0"
+    assert first.verdict == verify.FAIL and first.margin < 0
+    assert [r.verdict for r in rest] == [verify.PASS] * (spec.dim - 2)
 
 
 def test_hypothesis_violations_skip_not_fail():
