@@ -7,10 +7,12 @@ cochain complex reproduces de Rham cohomology, so kernel dimensions of the
 operators built downstream are exact integers.  One exact element-local
 kernel, ``_local_products``, integrates the Whitney products on each top
 simplex, and ``_assemble`` sums element matrices onto the mesh: the
-volume mass, the boundary mass, the stiffness (the local mass pulled back
-through the integer local coboundary) and the normal-trace energy all
-take this path, and the stiffness never forms a global (q+1)-form matrix.
-Element matrices are computed and scattered one chunk of ``_CHUNK`` tops
+volume mass, the boundary mass, the stiffness at degree q >= 1 (the local
+mass pulled back through the integer local coboundary) and the
+normal-trace energy all take this path, and the stiffness never forms a
+global (q+1)-form matrix.  The P1 stiffness takes the gradient kernel
+vol grad(lambda_i).grad(lambda_j), equal to D_0^T M_1 D_0 in exact
+arithmetic.  Element matrices are computed and scattered one chunk of ``_CHUNK`` tops
 at a time, straight into the unsummed CSR arrays.
 """
 
@@ -151,6 +153,15 @@ def _mass_products(K: SimplicialComplex, p: int, chunk):
     return _local_products(p, grads, lam[None], vols)
 
 
+def _gradient_products(K: SimplicialComplex, chunk):
+    """Element matrices vol grad(lambda_i).grad(lambda_j) of the P1
+    stiffness on ``K.tops[chunk]``."""
+    vols, grads = barycentric_gradients(K, chunk)
+    local = np.einsum("nia,nja->nij", grads, grads)
+    local *= vols[:, None, None]
+    return local
+
+
 def mass_matrix(K: SimplicialComplex, p: int):
     """Whitney p-form mass matrix (symmetric positive definite)."""
     if not 0 <= p <= K.dim:
@@ -161,14 +172,19 @@ def mass_matrix(K: SimplicialComplex, p: int):
 def stiffness(K: SimplicialComplex, q: int):
     """Whitney q-form stiffness D_q^T M_{q+1} D_q; zero at the top degree.
 
-    Assembled element by element: on each top the local (q+1)-form mass
-    is pulled back through the integer local coboundary,
-    D_loc^T M_loc D_loc, and scattered onto the q-simplices, so no global
-    (q+1)-form matrix is built."""
+    Assembled element by element and scattered onto the q-simplices, so
+    no global (q+1)-form matrix is built.  At q = 0 the element matrix is
+    vol grad(lambda_i).grad(lambda_j) (tangential gradients on an embedded
+    complex): d of a P1 function is a Whitney 1-form, so this equals
+    D_0^T M_1 D_0 in exact arithmetic, and it is symmetric by
+    construction.  At q >= 1 the local (q+1)-form mass is pulled back
+    through the integer local coboundary, D_loc^T M_loc D_loc."""
     if not 0 <= q <= K.dim:
         raise ValueError(f"degree {q} out of range")
     if q == K.dim:
         return sparse.csr_matrix((K.n_simplices(q),) * 2)
+    if q == 0:
+        return _assemble(K, 0, lambda chunk: _gradient_products(K, chunk))
     D = mesh.local_coboundary(K.dim, q)
     return _assemble(K, q, lambda chunk: D.T @ _mass_products(K, q + 1, chunk) @ D)
 

@@ -1,8 +1,11 @@
 """Scalar companion solvers: mean-exit time (one Jacobi-preconditioned CG
 solve at every mesh size), mean-value property of harmonic functions, and
 the fourth-order (biharmonic) Steklov eigenvalue.  The P1 stiffness is
-feec.stiffness at degree 0.  Like the feec assembly, the mean-value
-quadrature runs over chunks of feec._CHUNK tops.
+feec.stiffness at degree 0.  The exit-time load is the volume share: each
+vertex takes 1/(d+1) of the volume of every top it lies on, which is the
+P1 mass applied to the constant 1, so no P1 mass is assembled for it.
+Like the feec assembly, the mean-value quadrature runs over chunks of
+feec._CHUNK tops.
 
 Sign conventions: the Laplacian is delta.d (positive on functions, so the
 exit time solves  Delta E = 1, E = 0 on the boundary) and normal
@@ -50,25 +53,35 @@ class ExitTimeResult:
 
 
 def _scalar_operators(K: mesh.SimplicialComplex):
-    """P1 stiffness and mass, the boundary vertices in boundary-complex
-    order and the interior vertices."""
+    """P1 stiffness, the boundary vertices in boundary-complex order and
+    the interior vertices."""
     stiff = feec.stiffness(K, 0)
-    M0 = feec.mass_matrix(K, 0)
     bv = K.boundary_simplices[0]
     interior = np.setdiff1d(np.arange(K.n_simplices(0)), bv)
-    return stiff, M0, bv, interior
+    return stiff, bv, interior
+
+
+def _volume_shares(K: mesh.SimplicialComplex, vols):
+    """P1 load of the constant 1: each vertex takes 1/(d+1) of the volume
+    ``vols`` of every top it lies on (the P1 mass times the ones vector,
+    up to rounding)."""
+    d = K.dim
+    return np.bincount(K.tops.ravel(), np.repeat(vols / (d + 1), d + 1),
+                       minlength=K.n_simplices(0))
 
 
 def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
     """Solve Delta E = 1 with zero boundary values by Jacobi-preconditioned
-    conjugate gradients to ||r|| <= 1e-12 ||b||; recover the flux from
-    the residual of the boundary rows so that the discrete divergence
-    theorem holds exactly (mean flux equals vol/area to solver precision).
+    conjugate gradients to ||r|| <= 1e-12 ||b||, with the volume shares of
+    the tops as the load; recover the flux from the residual of the
+    boundary rows so that the discrete divergence theorem holds exactly
+    (mean flux equals vol/area to solver precision).
     Every inner product is a numpy reduction, never a BLAS dot product, so
     E and the flux do not depend on the BLAS thread count.  Raises
     SingularSystemError when CG needs more than 20000 iterations."""
-    stiff, M0, bv, interior = _scalar_operators(K)
-    load = M0 @ np.ones(K.n_simplices(0))
+    stiff, bv, interior = _scalar_operators(K)
+    vols = K.top_volumes()
+    load = _volume_shares(K, vols)
     A, b = stiff[np.ix_(interior, interior)], load[interior]
     inv_diag = 1.0 / A.diagonal()
     x, r = np.zeros_like(b), b.copy()
@@ -94,7 +107,7 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
     MS0 = feec.mass_matrix(K.boundary_complex(), 0)
     flux = symmetric_lu(MS0).solve(resid[bv])
     area = float((MS0 @ np.ones(len(bv))).sum())
-    vol = float(K.top_volumes().sum())
+    vol = float(vols.sum())
     mean_flux = float((MS0 @ flux).sum()) / area
     var = float((flux * (MS0 @ flux)).sum()) / area - mean_flux ** 2
     defect = np.sqrt(max(var, 0.0)) / abs(mean_flux)
@@ -171,7 +184,8 @@ def biharmonic_spectrum(K: mesh.SimplicialComplex, k: int = 4) -> np.ndarray:
     ||R g - theta MS0 g|| / (theta ||MS0 g||) (infinity norms) exceeds
     linalg.RESIDUAL_TOL.
     """
-    stiff, M0, bv, interior = _scalar_operators(K)
+    stiff, bv, interior = _scalar_operators(K)
+    M0 = feec.mass_matrix(K, 0)
     n, nb = K.n_simplices(0), len(bv)
     S_IB = stiff[np.ix_(interior, bv)]
     lu = symmetric_lu(stiff[np.ix_(interior, interior)])

@@ -17,7 +17,8 @@ from formsteklov.linalg import symmetric_lu
 def harmonic_extension_gram(K):
     """Dense Gram matrix R of discrete harmonic extensions of boundary
     vertex data, in the volume L2 inner product, plus the boundary mass."""
-    stiff, M0, bv, interior = scalar._scalar_operators(K)
+    stiff, bv, interior = scalar._scalar_operators(K)
+    M0 = feec.mass_matrix(K, 0)
     n, nb = K.n_simplices(0), len(bv)
     lu = symmetric_lu(stiff[np.ix_(interior, interior)])
     H = np.zeros((n, nb))
@@ -42,7 +43,8 @@ def biharmonic_mu1_mixed_oracle(K, k=3):
     """Independent route to the same eigenvalues: minimize the L2 norm of a
     free source w against the consistent flux of the Poisson solve it
     drives.  Finite eigenvalues of (M, F^T MS F) with F the flux map."""
-    stiff, M0, bv, interior = scalar._scalar_operators(K)
+    stiff, bv, interior = scalar._scalar_operators(K)
+    M0 = feec.mass_matrix(K, 0)
     n, nb = K.n_simplices(0), len(bv)
     lu = symmetric_lu(stiff[np.ix_(interior, interior)])
     MS0 = feec.mass_matrix(K.boundary_complex(), 0)

@@ -2,10 +2,11 @@
 
 The element products of every top are formed at once, in the same order
 as in ``feec``, the face signs are applied to a copy, and the signed
-products are summed into CSR through one COO matrix.  ``feec`` streams
-chunks of element matrices straight into the unsummed CSR arrays, in the
-order COO->CSR conversion would give them, so the mass, the stiffness and
-the normal-trace form must equal this oracle entry for entry.
+products are summed into CSR through one COO matrix; the P1 stiffness
+takes the gradient products instead.  ``feec`` streams chunks of element
+matrices straight into the unsummed CSR arrays, in the order COO->CSR
+conversion would give them, so the mass, the stiffness and the
+normal-trace form must equal this oracle entry for entry.
 """
 
 import itertools
@@ -23,8 +24,12 @@ def mass_matrix(K, p):
 
 
 def stiffness(K, q):
-    """D_loc^T M_loc D_loc on every top, scattered onto the q-simplices."""
+    """vol * grad(lambda_i) . grad(lambda_j) at q = 0, D_loc^T M_loc D_loc
+    at q >= 1, on every top, scattered onto the q-simplices."""
     vols, grads = feec.barycentric_gradients(K)
+    if q == 0:
+        local = np.einsum("nia,nja->nij", grads, grads) * vols[:, None, None]
+        return _coo(K, 0, slice(None), local)
     D = mesh.local_coboundary(K.dim, q)
     local = _products(q + 1, grads, _lam(K.dim), vols)
     return _coo(K, q, slice(None), D.T @ local @ D)

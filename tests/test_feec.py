@@ -97,16 +97,42 @@ STIFFNESS_SPECS = ([s.with_level(l) for s in FAMILIES for l in (0, 1)]
 @pytest.mark.parametrize("spec", STIFFNESS_SPECS, ids=_level_id)
 def test_stiffness_matches_product_oracle(spec):
     """The element-by-element stiffness equals D_q^T M_{q+1} D_q formed
-    from the global coboundary and mass, and is symmetric."""
+    from the global coboundary and mass, and is symmetric; so does the P1
+    stiffness of the embedded boundary complex, built from tangential
+    gradients."""
     K = mesh.generate(spec)
-    for q in range(K.dim):
-        S = feec.stiffness(K, q)
-        D = mesh.coboundary(K, q).astype(float)
-        oracle = D.T @ feec.mass_matrix(K, q + 1) @ D
+    bc = K.boundary_complex()
+    for C, q in [(K, q) for q in range(K.dim)] + [(bc, 0)]:
+        S = feec.stiffness(C, q)
+        D = mesh.coboundary(C, q).astype(float)
+        oracle = D.T @ feec.mass_matrix(C, q + 1) @ D
         scale = abs(oracle).max()
         assert S.shape == oracle.shape and scale > 0
         assert abs(S - oracle).max() <= 1e-14 * scale
         assert abs(S - S.T).max() <= 1e-14 * scale
+
+
+def test_p1_stiffness_builds_without_whitney_products(monkeypatch):
+    """The P1 stiffness takes the gradient kernel on the volume and the
+    boundary complex, never the Whitney edge products.  Its element
+    matrices are symmetric, so where an edge lies on at most two tops
+    (dimension 2 and below) the assembled matrix is symmetric entry for
+    entry; in 3-d the sum over the tops around an edge may round
+    differently in its two rows."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the P1 stiffness must not form Whitney products")
+
+    for spec in (mesh.disk(1), mesh.ball(1)):
+        K = mesh.generate(spec)
+        complexes = (K, K.boundary_complex())
+        expected = [feec.stiffness(C, 0) for C in complexes]
+        with monkeypatch.context() as m:
+            m.setattr(feec, "_local_products", refuse)
+            for C, ref in zip(complexes, expected):
+                S = feec.stiffness(C, 0)
+                assert S.nnz > 0 and (S != ref).nnz == 0
+                if C.dim <= 2:
+                    assert (S != S.T).nnz == 0
 
 
 def test_stiffness_builds_without_global_mass_or_coboundary(monkeypatch):

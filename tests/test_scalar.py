@@ -53,6 +53,41 @@ def test_exit_time_cg_matches_direct_oracle(spec):
     assert np.abs(E - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("spec", [s.with_level(l) for s in (
+    mesh.disk(0), mesh.ellipse(1, 0.7, 0), mesh.annulus(0.5, 1, 0),
+    mesh.ball(0), mesh.ellipsoid(1, 0.8, 0.6, 0), mesh.shell(0.5, 1, 0),
+    mesh.box(1, 1, 1, 0)) for l in (0, 1, 2)],
+    ids=lambda s: f"{s.label()}-{s.level}")
+def test_exit_time_load_is_the_p1_mass_of_one(spec):
+    """The volume shares of the tops equal the assembled P1 mass applied
+    to the constant 1, vertex by vertex."""
+    K = mesh.generate(spec)
+    load = scalar._volume_shares(K, K.top_volumes())
+    ref = feec.mass_matrix(K, 0) @ np.ones(K.n_simplices(0))
+    assert np.abs(load - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_exit_time_builds_no_p1_mass(monkeypatch):
+    """The exit time takes its load from the top volumes: it still runs
+    when the P1 mass of the volume complex cannot be built.  Only the
+    boundary mass, for the flux, is assembled."""
+    mass_matrix = feec.mass_matrix
+    for spec in (mesh.disk(2), mesh.ball(1)):
+        K = mesh.generate(spec)
+        expected = scalar.mean_exit_time(K)
+
+        def refuse(C, p):
+            if C is K and p == 0:
+                raise AssertionError("the exit time must not build the P1 mass")
+            return mass_matrix(C, p)
+
+        with monkeypatch.context() as m:
+            m.setattr(feec, "mass_matrix", refuse)
+            r = scalar.mean_exit_time(K)
+        assert np.array_equal(r.E, expected.E)
+        assert np.array_equal(r.flux, expected.flux)
+
+
 def test_exit_time_counts_cg_iterations():
     K = mesh.generate(mesh.disk(3))
     counts = [scalar.mean_exit_time(K).cg_iterations for _ in range(2)]
@@ -66,8 +101,8 @@ def test_exit_time_cg_failure_is_a_singular_system(monkeypatch, tmp_path,
     def zero_stiffness(K):
         # the Jacobi step divides by a zero diagonal, so every residual
         # from the first step on is NaN and CG runs into its cap
-        stiff, M0, bv, interior = operators(K)
-        return 0 * stiff, M0, bv, interior
+        stiff, bv, interior = operators(K)
+        return 0 * stiff, bv, interior
 
     monkeypatch.setattr(scalar, "_scalar_operators", zero_stiffness)
     with np.errstate(divide="ignore", invalid="ignore"), pytest.raises(

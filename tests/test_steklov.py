@@ -4,7 +4,7 @@ from scipy.sparse.linalg import LinearOperator
 
 import dense_oracle
 from formsteklov import cli, feec, linalg, mesh, steklov
-from formsteklov.errors import SingularSystemError
+from formsteklov.errors import ConvergenceError, SingularSystemError
 
 
 def disk_steklov_oracle(count):
@@ -362,17 +362,32 @@ def test_singular_shifted_pencil_is_reported():
         steklov._pencil_spectrum(-B, Tr, MS, 4, 0, 1)
 
 
-def test_nonzero_singular_pencil_is_not_regularized_away():
+@pytest.mark.parametrize("spec, error, match", [
+    (mesh.disk(0), SingularSystemError, "singular pencil of degree 0 at level 1"),
+    (mesh.disk(1), ConvergenceError, "degree 0 at level 1 not converged")],
+    ids=["zero-pivot", "rounded-pivot"])
+def test_nonzero_singular_pencil_is_not_regularized_away(spec, error, match,
+                                                         monkeypatch):
     """S = A - _SHIFT B is the scalar stiffness, singular on constants:
-    no diagonal shift hides it, and its factor meets an exactly zero
-    pivot."""
-    K = mesh.generate(mesh.disk(1))
+    no diagonal shift hides it.  Whether elimination meets an exactly zero
+    pivot is down to rounding: on the level-0 disk it does and the factor
+    reports it; on the level-1 disk a pivot of order 1e-15 is left and the
+    residual gate reports it.  Either error names the degree and level."""
+    K = mesh.generate(spec)
     K_stiff, Tr, MS = _p0_blocks(K)
     B = Tr.T @ MS @ Tr
-    with pytest.raises(SingularSystemError,
-                       match="singular pencil of degree 0 at level 1"):
-        steklov._pencil_spectrum(K_stiff + steklov._SHIFT * B, Tr, MS, 4, 0,
-                                 1)
+    A = K_stiff + steklov._SHIFT * B
+    symmetric_lu, factored = steklov.symmetric_lu, []
+
+    def recorded(S):
+        factored.append(S)
+        return symmetric_lu(S)
+
+    monkeypatch.setattr(steklov, "symmetric_lu", recorded)
+    with np.errstate(invalid="ignore"), pytest.raises(error, match=match):
+        steklov._pencil_spectrum(A, Tr, MS, 4, 0, 1)
+    assert len(factored) == 1
+    assert (factored[0] != (A - steklov._SHIFT * B)).nnz == 0
 
 
 def test_stalled_refinement_is_loud(monkeypatch, capsys):

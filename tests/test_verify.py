@@ -156,6 +156,25 @@ def test_dual_check_can_fail(spec):
     assert [r.verdict for r in rest] == [verify.PASS] * (spec.dim - 2)
 
 
+def test_dual_check_margin_is_negative_when_the_gap_grows():
+    """On the ball at levels 0-2 the dual p=0 gap grows (0.0642, 0.182,
+    0.291) although its relative gap sits inside the tolerance: the row
+    fails by that growth, with a negative margin and a note that names
+    it.  At the default levels 1-3 the gap shrinks and the row passes
+    with the margin tolerance minus relative gap (0.3152)."""
+    lab = verify.Lab()
+    first = verify.run_check("CHK-DUAL", mesh.ball(), levels=[0, 1, 2],
+                             lab=lab)[0]
+    assert first.case == "p=0" and first.lhs < first.rhs
+    assert first.verdict == verify.FAIL and first.margin < 0
+    assert "gap not shrinking" in first.notes
+    assert "relative gap above" not in first.notes
+    first = verify.run_check("CHK-DUAL", mesh.ball(), lab=lab)[0]
+    assert first.verdict == verify.PASS and "fails" not in first.notes
+    assert first.margin == first.rhs - first.lhs
+    assert abs(first.margin - 0.31518) < 1e-4
+
+
 def test_hypothesis_violations_skip_not_fail():
     lab = verify.Lab()
     for cid in ("CHK-LOW-A", "CHK-LOW-B", "CHK-MONO", "CHK-ESC", "CHK-EQ1",
