@@ -12,8 +12,8 @@ mass pulled back through the integer local coboundary) and the
 normal-trace energy all take this path, and the stiffness never forms a
 global (q+1)-form matrix.  The P1 stiffness takes the gradient kernel
 vol grad(lambda_i).grad(lambda_j), equal to D_0^T M_1 D_0 in exact
-arithmetic.  Element matrices are computed and scattered one chunk of ``_CHUNK`` tops
-at a time, straight into the unsummed CSR arrays.
+arithmetic.  Element matrices are computed and scattered one chunk of
+``_CHUNK`` tops at a time, straight into the unsummed CSR arrays.
 """
 
 import itertools

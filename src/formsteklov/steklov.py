@@ -151,8 +151,12 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     ordering, normalized to g^T MS g = 1.  Raises ConvergenceError when
     Lanczos fails or a relative residual ||A x - nu B x|| / ((||A|| + |nu|
     ||B||) ||x||) (infinity norms) exceeds linalg.RESIDUAL_TOL,
-    SingularSystemError when the factor is singular or a refinement stops
-    converging (a NaN backward error included).
+    SingularSystemError when the factor meets a zero pivot, a refinement
+    stops converging (a NaN backward error included) or a solve grows by
+    ||S|| ||x|| / ||b|| > 1/eps: that ratio bounds the condition number of
+    S from below, so S is singular to working precision (the test of
+    LAPACK's xGESVX), which is how a pencil singular up to rounding shows
+    when elimination leaves a pivot of rounding size instead of zero.
     """
     A, R = A.tocsr(), R.tocsr()
     B = (R.T @ MS @ R).tocsr()
@@ -172,10 +176,16 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
             x = x + lu.solve(r)
             solves += 1 if rhs.ndim == 1 else rhs.shape[1]
             r = rhs - S @ x
-            res = float((np.abs(r).max(axis=0) / np.maximum(
-                norm_S * np.abs(x).max(axis=0) + np.abs(rhs).max(axis=0),
-                1e-300)).max())
+            size_x, size_b = norm_S * np.abs(x).max(axis=0), np.abs(
+                rhs).max(axis=0)
+            res = float((np.abs(r).max(axis=0)
+                         / np.maximum(size_x + size_b, 1e-300)).max())
             if res <= _REFINE_TOL:
+                growth = float((size_x / np.maximum(size_b, 1e-300)).max())
+                if growth * np.finfo(float).eps > 1.0:
+                    raise SingularSystemError(
+                        f"singular pencil of {what} to working precision: "
+                        f"||S|| ||x|| / ||b|| = {growth:.2e} > 1/eps")
                 worst = max(worst, res)
                 return x
             if not res <= _REFINE_RATE * last:     # NaN stops here too

@@ -395,8 +395,11 @@ def _chk_dual(lab, spec, levels):
         notes = f"gap per level {['%.3g' % g for g in gaps]}, shrinking={shrinking}"
         failed = [] if margin >= 0 else [f"relative gap above {tol_rel:.3g}"]
         if not shrinking:
-            # a gap that does not shrink fails by its growth over the sweep
-            margin = min(margin, (gaps[0] - gaps[-1]) / refs[-1])
+            # a gap that does not shrink fails by its growth over the sweep,
+            # measured from the float below gaps[0] so that an equal gap
+            # fails with a negative margin too
+            margin = min(margin, (np.nextafter(gaps[0], -np.inf) - gaps[-1])
+                         / refs[-1])
             failed.append("gap not shrinking over the sweep")
         if failed:
             notes += "; fails: " + " and ".join(failed)

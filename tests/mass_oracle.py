@@ -25,7 +25,10 @@ def mass_matrix(K, p):
 
 def stiffness(K, q):
     """vol * grad(lambda_i) . grad(lambda_j) at q = 0, D_loc^T M_loc D_loc
-    at q >= 1, on every top, scattered onto the q-simplices."""
+    at q >= 1, on every top, scattered onto the q-simplices.  At q = 0 the
+    element matrices are those of feec's own gradient kernel, so the
+    comparison checks only the scatter there; the kernel itself is checked
+    against D_0^T M_1 D_0 by test_feec.test_stiffness_matches_product_oracle."""
     vols, grads = feec.barycentric_gradients(K)
     if q == 0:
         local = np.einsum("nia,nja->nij", grads, grads) * vols[:, None, None]

@@ -156,12 +156,35 @@ def test_dual_check_can_fail(spec):
     assert [r.verdict for r in rest] == [verify.PASS] * (spec.dim - 2)
 
 
+class _FixedGapLab:
+    """Primal eigenvalue 1 and dual eigenvalue 1 + gap at every level, with
+    zero extrapolation error bars."""
+
+    def __init__(self, gaps):
+        self.gaps = gaps
+
+    def primal(self, spec, level, p):
+        return steklov.SpectrumResult(p, False, np.array([1.0]), None, 0,
+                                      0.0, np.zeros(1))
+
+    def dual(self, spec, level, p):
+        nu = 1.0 + self.gaps[level]
+        return steklov.SpectrumResult(p, True, np.array([nu]), None, 0, 0.0,
+                                      np.zeros(1))
+
+    def nu(self, spec, levels, p):
+        return 1.0, 0.0, None
+
+    nu_dual = nu
+
+
 def test_dual_check_margin_is_negative_when_the_gap_grows():
     """On the ball at levels 0-2 the dual p=0 gap grows (0.0642, 0.182,
     0.291) although its relative gap sits inside the tolerance: the row
     fails by that growth, with a negative margin and a note that names
     it.  At the default levels 1-3 the gap shrinks and the row passes
-    with the margin tolerance minus relative gap (0.3152)."""
+    with the margin tolerance minus relative gap (0.3152).  A gap equal at
+    the first and last level fails like a growing one."""
     lab = verify.Lab()
     first = verify.run_check("CHK-DUAL", mesh.ball(), levels=[0, 1, 2],
                              lab=lab)[0]
@@ -173,6 +196,10 @@ def test_dual_check_margin_is_negative_when_the_gap_grows():
     assert first.verdict == verify.PASS and "fails" not in first.notes
     assert first.margin == first.rhs - first.lhs
     assert abs(first.margin - 0.31518) < 1e-4
+    equal, = verify._chk_dual(_FixedGapLab([0.01, 0.01, 0.01]), mesh.disk(),
+                              [0, 1, 2])
+    assert equal.verdict == verify.FAIL and equal.margin < 0
+    assert equal.notes.endswith("fails: gap not shrinking over the sweep")
 
 
 def test_hypothesis_violations_skip_not_fail():
