@@ -121,19 +121,16 @@ def cmd_spectrum(args) -> int:
 def _write_csv_tables(report, prefix):
     """Extrapolated-eigenvalue table per (domain, degree) plus level-vs-value
     plot data for every convergence study in the report."""
-    rows = []
-    seen = set()
+    first = {}      # each quantity's first study, in report order
     for r in report.runs:
         for s in r.studies:
-            if s.quantity in seen:
-                continue
-            seen.add(s.quantity)
-            rows.append(s)
+            first.setdefault(s.quantity, s)
+    rows = sorted(first.values(), key=lambda s: s.quantity)
     with open(prefix + "_extrapolated.csv", "w", newline="",
               encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["quantity", "order", "extrapolated", "error_bar", "flagged"])
-        for s in sorted(rows, key=lambda s: s.quantity):
+        for s in rows:
             w.writerow([s.quantity,
                         "" if s.order is None else f"{s.order:.6g}",
                         f"{s.extrapolated:.12g}", f"{s.error_bar:.6g}",
@@ -141,10 +138,10 @@ def _write_csv_tables(report, prefix):
     with open(prefix + "_levels.csv", "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(["quantity", "level", "value"])
-        for s in sorted(rows, key=lambda s: s.quantity):
+        for s in rows:
             for level, v in zip(s.levels, s.values):
                 w.writerow([s.quantity, level, f"{v:.12g}"])
-    return [s for s in rows]
+    return list(first.values())
 
 
 def _write_svg(studies, path):

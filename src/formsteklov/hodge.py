@@ -32,7 +32,7 @@ def boundary_spectrum(K: mesh.SimplicialComplex, k: int = 12) -> BoundarySpectru
     bc = K.boundary_complex()
     stiff = feec.stiffness(bc, 0).toarray()
     M0 = feec.mass_matrix(bc, 0).toarray()
-    vals = eigh(0.5 * (stiff + stiff.T), M0, eigvals_only=True,
+    vals = eigh(stiff, M0, eigvals_only=True,
                 subset_by_index=[0, min(k, stiff.shape[0]) - 1])
     n_comp = len(bc.components())
     # one zero mode per component; the first positive one follows

@@ -2,12 +2,13 @@
 
 Deterministic structured generators (no external meshers), uniform
 refinement with boundary snapping, oriented boundary extraction, signed
-incidence (coboundary) matrices, mod-2 Betti numbers, and a plain-text
-file format.  The face tables of the tops are found once per degree, by
-one ``np.unique`` over the packed int64 keys of the sorted local vertex
-subsets; every incidence (coboundary, boundary, boundary complex) is gathered
-from them, never searched for again.  ``faces_of_top`` is int32 and
-``face_signs_of_top`` int8; every other index table is int64.
+incidence (coboundary) matrices, Betti numbers from component counts and
+the Euler characteristic, and a plain-text file format.  The face tables
+of the tops are found once per degree, by one ``np.unique`` over the
+packed int64 keys of the sorted local vertex subsets; every incidence
+(coboundary, boundary, boundary complex) is gathered from them, never
+searched for again.  ``faces_of_top`` is int32 and ``face_signs_of_top``
+int8; every other index table is int64.
 
 Conventions
 -----------
@@ -285,6 +286,22 @@ class SimplicialComplex:
             self._bc = BoundaryComplex._build(self)
         return self._bc
 
+    def components(self):
+        """Connected components as sorted lists of top-simplex indices,
+        ordered by their smallest top index; two tops are joined when
+        they share a vertex, so each top takes the component of its first
+        vertex in the edge graph."""
+        from scipy import sparse
+        from scipy.sparse.csgraph import connected_components
+
+        nv, edges = self.n_simplices(0), self.simplices[1]
+        graph = sparse.coo_matrix(
+            (np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(nv, nv))
+        labels = connected_components(graph, directed=False)[1][self.tops[:, 0]]
+        _, first = np.unique(labels, return_index=True)
+        return [np.flatnonzero(labels == labels[t]).tolist()
+                for t in np.sort(first)]
+
 
 class BoundaryComplex(SimplicialComplex):
     """The boundary of a volume complex K as a complex of its own.
@@ -304,23 +321,6 @@ class BoundaryComplex(SimplicialComplex):
         flip = K.boundary_signs == -1
         tops[flip, -2:] = tops[flip, :-3:-1]
         return cls(K.dim - 1, K.vertices[used], tops)
-
-    def components(self):
-        """Connected components as sorted lists of top-simplex indices,
-        ordered by their smallest top index; two tops are joined when
-        they share a vertex."""
-        from scipy import sparse
-        from scipy.sparse.csgraph import connected_components
-
-        nt = self.n_simplices(self.dim)
-        inc = sparse.csr_matrix(
-            (np.ones(self.tops.size),
-             (np.repeat(np.arange(nt), self.dim + 1), self.tops.ravel())),
-            shape=(nt, self.n_simplices(0)))
-        _, labels = connected_components(inc @ inc.T, directed=False)
-        _, first = np.unique(labels, return_index=True)
-        return [np.flatnonzero(labels == labels[t]).tolist()
-                for t in np.sort(first)]
 
 
 # ---------------------------------------------------------------------------
@@ -366,45 +366,23 @@ def coboundary(K: SimplicialComplex, p: int):
     return D.tocsr()
 
 
-def _gf2_rank(dense_bits: np.ndarray) -> int:
-    """Rank over GF(2) of a boolean matrix via packed-word elimination."""
-    m, n = dense_bits.shape
-    if m == 0 or n == 0:
-        return 0
-    words = (n + 63) // 64
-    packed = np.zeros((m, words), dtype=np.uint64)
-    r, c = np.nonzero(dense_bits)
-    np.bitwise_xor.at(packed, (r, c // 64), np.uint64(1) << (c % 64).astype(np.uint64))
-    rank = 0
-    row_used = np.zeros(m, dtype=bool)
-    for col in range(n):
-        wrd, bit = col // 64, np.uint64(1) << np.uint64(col % 64)
-        hits = np.flatnonzero(((packed[:, wrd] & bit) != 0) & ~row_used)
-        if len(hits) == 0:
-            continue
-        piv = hits[0]
-        row_used[piv] = True
-        rank += 1
-        others = hits[1:]
-        if len(others):
-            packed[others] ^= packed[piv]
-    return rank
-
-
 def betti(K: SimplicialComplex):
-    """Betti numbers over GF(2) (equal to the real ones for the benchmark
-    domains, which are orientable and torsion-free)."""
-    ranks = []
-    for p in range(K.dim):
-        D = coboundary(K, p)
-        ranks.append(_gf2_rank(np.asarray(D.todense() % 2, dtype=bool)))
-    out = []
-    for p in range(K.dim + 1):
-        n_p = K.n_simplices(p)
-        r_up = ranks[p] if p < K.dim else 0
-        r_dn = ranks[p - 1] if p > 0 else 0
-        out.append(n_p - r_up - r_dn)
-    return tuple(int(b) for b in out)
+    """Betti numbers of a full-dimensional manifold mesh in R^2 or R^3 (a
+    mesh pinched at a vertex is outside this contract, as it is for the
+    manifold checks), from component counts by Alexander duality (Hatcher,
+    Algebraic Topology, 2002, sec. 3.3).  Each of the b_0 components of K
+    has one outer boundary surface and every further one of the c
+    components of the boundary encloses a cavity, so b_{dim-1} = c - b_0;
+    in 3-d the Euler characteristic chi then fixes b_1 = c - chi."""
+    if K.ambient != K.dim or K.dim not in (2, 3):
+        raise ValueError("betti needs a full-dimensional complex in R^2 or "
+                         f"R^3, not dimension {K.dim} in R^{K.ambient}")
+    b0 = len(K.components())
+    c = len(K.boundary_complex().components())
+    if K.dim == 2:
+        return b0, c - b0, 0
+    chi = sum((-1) ** k * K.n_simplices(k) for k in range(4))
+    return b0, c - chi, c - b0, 0
 
 
 # ---------------------------------------------------------------------------
@@ -575,13 +553,11 @@ def generate(spec: DomainSpec) -> SimplicialComplex:
     elif fam == "ellipse":
         verts, tops = _base_disk()
         verts = verts * np.array(p)
-        tops = _orient_tops(verts, tops)
     elif fam == "ball":
         verts, tops = _base_ball()
     elif fam == "ellipsoid":
         verts, tops = _base_ball()
         verts = verts * np.array(p)
-        tops = _orient_tops(verts, tops)
     else:   # box; DomainSpec admits no other family
         verts, tops = _base_box(*p)
     K = SimplicialComplex(spec.dim, verts, tops)

@@ -109,24 +109,27 @@ def _coupling(K: mesh.SimplicialComplex, q: int):
             @ mesh.coboundary(K, q - 1).astype(float)).tocsr()
 
 
-def _factor(S, n_sig, what):
+def _factor(S, what):
     """Threshold-pivoted symmetric LU of S (linalg.symmetric_lu) and the
-    delta it took.  Only a zero diagonal outside the n_sig sigma rows (the
-    top-degree dual's W block) takes a shift: the rows after sigma gain
-    _DELTA |S_ii|, and a zero-diagonal row _DELTA sum_j S_ij^2 / |S_jj|
-    over the j with S_jj != 0, the diagonal of the Schur complement
-    C_W M^-1 C_W^T it stands for; this makes S symmetric quasi-definite
-    (Gill, Saunders & Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996).
+    delta it took.  The sigma rows are those with S_ii < 0: the sigma block
+    -M is negative definite, and every other diagonal entry of S = A + B is
+    >= 0.  Only a zero diagonal outside sigma (the top-degree dual's W
+    block) takes a shift: the rows outside sigma gain _DELTA |S_ii|, and a
+    zero-diagonal row _DELTA sum_j S_ij^2 / |S_jj| over the j with
+    S_jj != 0, the diagonal of the Schur complement C_W M^-1 C_W^T it
+    stands for; this makes S symmetric quasi-definite (Gill, Saunders &
+    Shinnerl, SIAM J. Matrix Anal. Appl. 17, 1996).
     The per-row scale keeps that block's pivots on the diagonal: with
     _DELTA max|diag S| they leave it, for 94M fill instead of 0.44M on
     disk level 5.  Refinement and the residual gate guard every factor."""
-    d = np.abs(S.diagonal())
+    diag = S.diagonal()
+    sig, d = diag < 0, np.abs(diag)
     delta = 0.0
-    if not d[n_sig:].all():
+    if not d[~sig].all():
         delta = _DELTA
         inv = np.divide(1.0, d, out=np.zeros_like(d), where=d > 0)
         shift = np.where(d > 0, d, S.multiply(S) @ inv)
-        shift[:n_sig] = 0.0
+        shift[sig] = 0.0
         S = S + sparse.diags(delta * shift)
     try:
         return symmetric_lu(S), delta
@@ -134,12 +137,12 @@ def _factor(S, n_sig, what):
         raise SingularSystemError(f"singular pencil of {what}") from None
 
 
-def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
-                     n_sig=0) -> SpectrumResult:
+def _pencil_spectrum(A, R, MS, k, degree, level=None,
+                     dual=False) -> SpectrumResult:
     """Lowest k eigenpairs of the sparse pencil  A x = nu B x,  B = R^T MS R.
 
-    R (nb x n) selects the signed boundary rows; the first n_sig rows of A
-    hold the negative definite mass block of the mixed variable.  One
+    R (nb x n) selects the signed boundary rows; the rows of A with a
+    negative diagonal hold the mass block of the mixed variable.  One
     factor of the shifted matrix S = A - _SHIFT B (see _factor) serves
     every solve, and each solve is refined with it until its normwise
     backward error ||b - S x|| / (||S|| ||x|| + ||b||) is at most
@@ -165,7 +168,7 @@ def _pencil_spectrum(A, R, MS, k, degree, level=None, dual=False,
     what = f"degree {degree}{' dual' if dual else ''} at level {level}"
     sym_defect = abs(A - A.T).max() / max(abs(A).max(), 1e-300)
     S = (A - _SHIFT * B).tocsr()
-    lu, delta = _factor(S, n_sig, what)
+    lu, delta = _factor(S, what)
     norm_S = float(abs(S).sum(axis=1).max())
     solves, worst = 0, 0.0
 
@@ -244,15 +247,14 @@ def solve_primal(K: mesh.SimplicialComplex, p: int, k: int = 8,
     sigma only for p > 0."""
     if not 0 <= p <= K.dim - 1:
         raise ValueError(f"boundary degree {p} out of range")
-    A, R, n_sig = feec.stiffness(K, p), feec.tangential_trace(K, p), 0
+    A, R = feec.stiffness(K, p), feec.tangential_trace(K, p)
     if p > 0:
         M_sigma = feec.mass_matrix(K, p - 1)
         C = _coupling(K, p)
-        n_sig = M_sigma.shape[0]
         A = sparse.bmat([[-M_sigma, C.T], [C, A]])
-        R = sparse.hstack([sparse.csr_matrix((R.shape[0], n_sig)), R])
+        R = sparse.hstack([sparse.csr_matrix((R.shape[0], C.shape[1])), R])
     MS = feec.mass_matrix(K.boundary_complex(), p)
-    return _pencil_spectrum(A, R, MS, k, degree=p, level=level, n_sig=n_sig)
+    return _pencil_spectrum(A, R, MS, k, degree=p, level=level)
 
 
 def dual_spectrum(K: mesh.SimplicialComplex, p: int, k: int = 8,
@@ -283,5 +285,4 @@ def dual_spectrum(K: mesh.SimplicialComplex, p: int, k: int = 8,
     nb = E.shape[1]
     R = sparse.hstack([sparse.csr_matrix((nb, A.shape[0] - nb)),
                        sparse.identity(nb)])
-    return _pencil_spectrum(A, R, MS, k, degree=p, level=level, dual=True,
-                            n_sig=E.shape[0])
+    return _pencil_spectrum(A, R, MS, k, degree=p, level=level, dual=True)

@@ -114,3 +114,18 @@ def coboundary(simplices, p):
     return sparse.coo_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(len(parents), len(simplices[p])), dtype=np.int64).tocsr()
+
+
+def betti(dim, tops):
+    """Real Betti numbers n_p - rank D_p - rank D_{p-1} from the oracle's
+    own face tables and coboundaries; each rank is that of the smaller
+    Gram matrix, D^T D or D D^T, found by a dense symmetric eigensolve."""
+    simplices = face_tables(dim, np.asarray(tops))[0]
+    ranks = [0]                     # ranks[p] = rank D_{p-1}
+    for p in range(dim):
+        D = coboundary(simplices, p).astype(float)
+        G = D.T @ D if D.shape[0] >= D.shape[1] else D @ D.T
+        ranks.append(int(np.linalg.matrix_rank(G.toarray(), hermitian=True)))
+    ranks.append(0)
+    return tuple(len(simplices[p]) - ranks[p + 1] - ranks[p]
+                 for p in range(dim + 1))

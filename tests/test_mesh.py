@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -165,6 +166,79 @@ def test_betti_and_euler(spec):
     assert b == EXPECTED_BETTI[spec.label()]
     chi = sum((-1) ** k * K.n_simplices(k) for k in range(K.dim + 1))
     assert chi == sum((-1) ** k * bk for k, bk in enumerate(b))
+
+
+@pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILY_SPECS
+                                  for l in (0, 1)], ids=_level_id)
+def test_betti_matches_rank_oracle(spec):
+    K = mesh.generate(spec)
+    assert mesh.betti(K) == mesh_oracle.betti(K.dim, K.tops)
+
+
+def _cube_complex(cells):
+    """Unit lattice cubes at the given integer corners, each Kuhn-split
+    into six tetrahedra along its main diagonal (so neighbours agree on
+    their shared faces), positively oriented."""
+    points, tops = {}, []
+    for cell in cells:
+        for perm in itertools.permutations(range(3)):
+            corner = list(cell)
+            path = [tuple(corner)]
+            for axis in perm:
+                corner[axis] += 1
+                path.append(tuple(corner))
+            tops.append([points.setdefault(v, len(points)) for v in path])
+    verts = np.array(list(points), dtype=float)
+    return mesh.SimplicialComplex(3, verts, mesh._orient_tops(verts, tops))
+
+
+HAND_BUILT = {
+    "solid-torus": ([(i, j, 0) for i in range(3) for j in range(3)
+                     if (i, j) != (1, 1)], (1, 1, 0, 0)),
+    "double-torus": ([(i, j, 0) for i in range(5) for j in range(3)
+                      if (i, j) not in ((1, 1), (3, 1))], (1, 2, 0, 0)),
+    "cube-with-cavity": ([c for c in itertools.product(range(3), repeat=3)
+                          if c != (1, 1, 1)], (1, 0, 1, 0)),
+    "two-cubes": ([(0, 0, 0), (2, 0, 0)], (2, 0, 0, 0)),
+    "cubes-sharing-a-vertex": ([(0, 0, 0), (1, 1, 1)], (1, 0, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("name", HAND_BUILT)
+def test_betti_of_hand_built_complexes(name):
+    """The tori are the only 3-d meshes of the tests with b_1 != 0, so
+    the only check of the Euler-characteristic step b_1 = c - chi."""
+    cells, expected = HAND_BUILT[name]
+    K = _cube_complex(cells)
+    assert mesh_oracle.betti(3, K.tops) == expected
+    assert mesh.betti(K) == expected
+
+
+def test_betti_refuses_an_embedded_complex():
+    K = mesh.generate(mesh.ball(0))
+    with pytest.raises(ValueError, match="full-dimensional"):
+        mesh.betti(K.boundary_complex())
+
+
+def test_betti_and_components_stay_linear(monkeypatch):
+    """Betti numbers are component counts: no coboundary is built, box
+    level 3 peaks below 4 MiB (417 MiB with the dense GF(2) ranks), and
+    the components of the ball level-4 volume below 8 MiB (no nt x nt
+    top adjacency)."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("betti must not build a coboundary")
+
+    box = mesh.generate(mesh.box(1, 1, 1, 3))
+    ball = mesh.generate(mesh.ball(4))
+    monkeypatch.setattr(mesh, "coboundary", refuse)
+    for run, bound in ((lambda: mesh.betti(box), 4), (ball.components, 8)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 2 ** 20
 
 
 @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.label())
