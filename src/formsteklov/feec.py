@@ -12,8 +12,14 @@ mass pulled back through the integer local coboundary) and the
 normal-trace energy all take this path, and the stiffness never forms a
 global (q+1)-form matrix.  The P1 stiffness takes the gradient kernel
 vol grad(lambda_i).grad(lambda_j), equal to D_0^T M_1 D_0 in exact
-arithmetic.  Element matrices are computed and scattered one chunk of
-``_CHUNK`` tops at a time, straight into the unsummed CSR arrays.
+arithmetic; on a volume complex its gradients and volumes come in closed
+form from the cofactors of the edge matrix (mesh.simplex_gradients), with
+no LAPACK call per top.  The Whitney products and the embedded
+(boundary) complexes keep the Gram route of barycentric_gradients bit for
+bit: moving them too changed the rounding-noise pivots of the Steklov
+saddle-point factors, and with them fill and a double eigenvalue found.
+Element matrices are computed and scattered one chunk of ``_CHUNK`` tops
+at a time, straight into the unsummed CSR arrays.
 """
 
 import itertools
@@ -155,11 +161,20 @@ def _mass_products(K: SimplicialComplex, p: int, chunk):
 
 def _gradient_products(K: SimplicialComplex, chunk):
     """Element matrices vol grad(lambda_i).grad(lambda_j) of the P1
-    stiffness on ``K.tops[chunk]``."""
-    vols, grads = barycentric_gradients(K, chunk)
-    local = np.einsum("nia,nja->nij", grads, grads)
-    local *= vols[:, None, None]
-    return local
+    stiffness on ``K.tops[chunk]``: on a volume complex from the
+    closed-form cofactor gradients of mesh.simplex_gradients; on an
+    embedded one from the Gram route of barycentric_gradients."""
+    if K.ambient != K.dim:
+        vols, grads = barycentric_gradients(K, chunk)
+        local = np.einsum("nia,nja->nij", grads, grads)
+        local *= vols[:, None, None]
+        return local
+    det, grads = mesh.simplex_gradients(K.vertices, K.tops[chunk])
+    vols = det / math.factorial(K.dim)
+    local = np.empty((K.dim + 1, K.dim + 1, len(vols)))
+    for i, j in itertools.combinations_with_replacement(range(K.dim + 1), 2):
+        local[i, j] = local[j, i] = (grads[i] * grads[j]).sum(axis=0) * vols
+    return np.ascontiguousarray(local.transpose(2, 0, 1))
 
 
 def mass_matrix(K: SimplicialComplex, p: int):

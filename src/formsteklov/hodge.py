@@ -5,15 +5,17 @@ reduces to the scalar spectrum: on a closed curve exact 1-forms are
 differentials of functions, and on a closed surface the Hodge star
 carries co-exact 1-forms (and exact 2-forms) onto the function spectrum.
 So the first positive scalar eigenvalue lambda1 serves every degree, and
-no second exterior-calculus stack is assembled on the boundary.
+no second exterior-calculus stack is assembled on the boundary.  The
+eigenvalues come from the Lanczos core of linalg, as every other
+eigenvalue of the package does.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 
 from . import feec, mesh
+from .linalg import symmetric_lu, top_eigenpairs
 
 
 @dataclass
@@ -25,16 +27,23 @@ class BoundarySpectrum:
     n_components: int
 
 
-def boundary_spectrum(K: mesh.SimplicialComplex, k: int = 12) -> BoundarySpectrum:
-    """Lowest k eigenvalues of the scalar Laplacian on the boundary complex
-    (Galerkin stiffness against mass, intrinsic metric), with
-    per-component bookkeeping."""
+def boundary_spectrum(K: mesh.SimplicialComplex,
+                      k: int | None = None) -> BoundarySpectrum:
+    """Lowest k eigenvalues (by default one per boundary component and
+    lambda1) of the scalar Laplacian on the boundary complex, S g =
+    lambda M g with the P1 stiffness S and mass M of the intrinsic metric,
+    with per-component bookkeeping.  They are the largest theta of
+    M (S + M)^-1 M g = theta M g, lambda = 1/theta - 1, found by
+    linalg.top_eigenpairs with one factor of S + M."""
     bc = K.boundary_complex()
-    stiff = feec.stiffness(bc, 0).toarray()
-    M0 = feec.mass_matrix(bc, 0).toarray()
-    vals = eigh(stiff, M0, eigvals_only=True,
-                subset_by_index=[0, min(k, stiff.shape[0]) - 1])
+    S, M = feec.stiffness(bc, 0), feec.mass_matrix(bc, 0)
     n_comp = len(bc.components())
+    k = min(n_comp + 1 if k is None else k, S.shape[0])
+    lu = symmetric_lu(S + M)
+    theta = top_eigenpairs(
+        lambda Y: M @ lu.solve(M @ Y), M, k,
+        f"the boundary Laplacian ({S.shape[0]} vertices)")[0]
+    vals = 1.0 / theta[::-1] - 1.0
     # one zero mode per component; the first positive one follows
     return BoundarySpectrum(eigenvalues=vals, lambda1=float(vals[n_comp]),
                             n_components=n_comp)

@@ -3,12 +3,18 @@
 Deterministic structured generators (no external meshers), uniform
 refinement with boundary snapping, oriented boundary extraction, signed
 incidence (coboundary) matrices, Betti numbers from component counts and
-the Euler characteristic, and a plain-text file format.  The face tables
-of the tops are found once per degree, by one ``np.unique`` over the
-packed int64 keys of the sorted local vertex subsets; every incidence
-(coboundary, boundary, boundary complex) is gathered from them, never
-searched for again.  ``faces_of_top`` is int32 and ``face_signs_of_top``
-int8; every other index table is int64.
+the Euler characteristic, and a plain-text file format.  Every vertex
+lies on a top, so the vertex table is read off the tops; the face tables
+of degree 1 and up are found once per degree, by one ``np.unique`` over
+the packed int64 keys of the sorted local vertex subsets; every
+incidence (coboundary, boundary, boundary complex) is gathered from
+them, never searched for again.  ``faces_of_top`` is int32 and
+``face_signs_of_top`` int8; every other index table is int64.
+
+The volumes and barycentric gradients of full-dimensional simplices
+have one closed-form kernel: the cofactor rows of the edge matrix, read
+coordinate-major, with no LAPACK call per simplex.  Embedded simplices
+(boundary complexes) take their measures from Gram determinants.
 
 Conventions
 -----------
@@ -166,12 +172,54 @@ def _faces(tops: np.ndarray, k: int, nv: int):
     return simp, inverse.reshape(nt, len(subsets)).astype(np.int32), signs
 
 
+def _edges(vertices: np.ndarray, tops: np.ndarray) -> np.ndarray:
+    """Edge vectors e_j = v_j - v_0 (j = 1..d) of full-dimensional
+    simplices in R^d, coordinate-major: ``e[a, j - 1]`` is the row of
+    coordinate a of edge j over all simplices, contiguous."""
+    x = vertices.T[:, tops.T]                  # (d, d+1, nt)
+    return x[:, 1:] - x[:, :1]
+
+
+def _cofactor_row(e: np.ndarray, j: int) -> np.ndarray:
+    """Row j of the cofactor matrix of the edge matrix E with rows
+    e_1..e_d, coordinate-major like ``e``: c_j . e_i = det E if i = j and
+    0 otherwise, so grad(lambda_j) = c_{j-1} / det E for j = 1..d."""
+    if len(e) == 2:
+        u = e[:, 1 - j]
+        return (1 - 2 * j) * np.stack([u[1], -u[0]])
+    u, w = e[:, (j + 1) % 3], e[:, (j + 2) % 3]
+    return np.stack([u[1] * w[2] - u[2] * w[1], u[2] * w[0] - u[0] * w[2],
+                     u[0] * w[1] - u[1] * w[0]])
+
+
 def _signed_volumes(vertices: np.ndarray, tops: np.ndarray) -> np.ndarray:
-    """Signed volumes of full-dimensional simplices."""
-    d = tops.shape[1] - 1
-    v = vertices[tops]
-    edges = v[:, 1:, :] - v[:, :1, :]
-    return np.linalg.det(edges) / math.factorial(d)
+    """Signed volumes det E / d! of full-dimensional simplices in R^2 or
+    R^3, from one 2x2 or triple product (one cofactor row, never all)."""
+    e = _edges(vertices, tops)
+    return (e[:, 0] * _cofactor_row(e, 0)).sum(axis=0) / math.factorial(len(e))
+
+
+def simplex_gradients(vertices: np.ndarray, tops: np.ndarray):
+    """det E and the gradients of the barycentric coordinates of
+    full-dimensional simplices in R^2 or R^3, in closed form: grad(lambda_j)
+    = c_{j-1} / det E from the cofactor rows and grad(lambda_0) = -(sum of
+    the others).  Returns (det (nt,), grads (d+1, d, nt)), coordinate-major:
+    ``grads[i, a]`` is coordinate a of grad(lambda_i).  Raises
+    DegenerateSimplexError where det E = 0.  A sum over the d <= 3
+    coordinate rows adds them one after another, so every result rounds
+    alike at every number of simplices."""
+    e = _edges(vertices, tops)
+    d = len(e)
+    grads = np.empty((d + 1, d, e.shape[2]))
+    for j in range(d):
+        grads[j + 1] = _cofactor_row(e, j)
+    det = (e[:, 0] * grads[1]).sum(axis=0)
+    if np.any(det == 0):
+        raise DegenerateSimplexError(
+            f"zero-volume simplex at index {int(np.argmin(np.abs(det)))}")
+    grads[1:] /= det
+    grads[0] = -grads[1:].sum(axis=0)
+    return det, grads
 
 
 def simplex_measures(vertices: np.ndarray, simp: np.ndarray) -> np.ndarray:
@@ -194,8 +242,9 @@ class SimplicialComplex:
     vertices : (nv, m) float array
         Vertex coordinates, m >= dim.
     tops : (nt, dim+1) int array
-        Top simplices in stored (orientation-carrying) vertex order; when
-        m == dim each must have positive signed volume.
+        Top simplices in stored (orientation-carrying) vertex order; every
+        vertex must lie on one, and when m == dim each must have positive
+        signed volume.
     """
 
     def __init__(self, dim, vertices, tops):
@@ -205,6 +254,13 @@ class SimplicialComplex:
         if tops.shape[1] != self.dim + 1:
             raise MeshFormatError("top simplex width does not match dimension")
         self.ambient = self.vertices.shape[1]
+        nv = len(self.vertices)
+        if tops.size and (tops.min() < 0 or tops.max() >= nv):
+            raise MeshFormatError(f"vertex index out of range [0, {nv})")
+        on_tops = np.bincount(tops.ravel(), minlength=nv)
+        if not on_tops.all():
+            raise MeshFormatError(
+                f"vertex {int(np.argmin(on_tops))} lies on no top simplex")
         if self.ambient == self.dim:
             vols = _signed_volumes(self.vertices, tops)
             if np.any(np.abs(vols) < 1e-14):
@@ -219,9 +275,13 @@ class SimplicialComplex:
         self.faces_of_top: list = [None] * (self.dim + 1)
         self.face_signs_of_top: list = [None] * (self.dim + 1)
         self.simplices[self.dim] = tops
-        for k in range(self.dim):
+        # every vertex lies on a top, so the vertices are read off the tops
+        self.simplices[0] = np.arange(nv)[:, None]
+        self.faces_of_top[0] = tops.astype(np.int32)
+        self.face_signs_of_top[0] = np.ones(tops.shape, dtype=np.int8)
+        for k in range(1, self.dim):
             (self.simplices[k], self.faces_of_top[k],
-             self.face_signs_of_top[k]) = _faces(tops, k, len(self.vertices))
+             self.face_signs_of_top[k]) = _faces(tops, k, nv)
         self.faces_of_top[self.dim] = np.arange(len(tops), dtype=np.int32)[:, None]
         self.face_signs_of_top[self.dim] = np.ones((len(tops), 1), dtype=np.int8)
 
@@ -610,6 +670,4 @@ def read_mesh(path) -> SimplicialComplex:
         raise MeshFormatError("vertex or simplex line has wrong arity")
     if not np.isfinite(verts).all():
         raise MeshFormatError("non-finite vertex coordinate")
-    if tops.min() < 0 or tops.max() >= nv:
-        raise MeshFormatError("vertex index out of range")
     return SimplicialComplex(dim, verts, tops)

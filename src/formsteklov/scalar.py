@@ -4,8 +4,11 @@ the fourth-order (biharmonic) Steklov eigenvalue.  The P1 stiffness is
 feec.stiffness at degree 0.  The exit-time load is the volume share: each
 vertex takes 1/(d+1) of the volume of every top it lies on, which is the
 P1 mass applied to the constant 1, so no P1 mass is assembled for it.
-Like the feec assembly, the mean-value quadrature runs over chunks of
-feec._CHUNK tops.
+Both take the volumes and gradients of the tops in closed form (see
+mesh.simplex_gradients).  Like the feec assembly, the mean-value
+quadrature runs over chunks of feec._CHUNK tops, and its points are
+built coordinate-major, so each coordinate a polynomial reads is one
+contiguous column.
 
 Sign conventions: the Laplacian is delta.d (positive on functions, so the
 exit time solves  Delta E = 1, E = 0 on the boundary) and normal
@@ -118,16 +121,18 @@ def mean_exit_time(K: mesh.SimplicialComplex) -> ExitTimeResult:
 
 def _quadrature_points(C: mesh.SimplicialComplex, tops):
     """Degree-5 simplex-rule points of C.tops[tops], point-major: the q-th
-    point of every top, then the (q+1)-th."""
+    point of every top, then the (q+1)-th.  They are built
+    coordinate-major and returned as the transposed view, so each
+    coordinate column a polynomial reads is contiguous."""
     pts_ref, _ = simplex_rule(C.dim, 5)
-    v = C.vertices[C.tops[tops]]
-    edges = v[:, 1:, :] - v[:, :1, :]
-    pts = np.empty((len(pts_ref), len(v), C.vertices.shape[1]))
+    v = C.vertices.T[:, C.tops[tops].T]           # (ambient, k+1, nt)
+    edges = v[:, 1:] - v[:, :1]
+    pts = np.empty((len(v), len(pts_ref), v.shape[2]))
     # one einsum per point is 2-4x faster than one over all points
-    for p, lam in zip(pts, pts_ref[:, 1:]):
-        np.einsum("k,nkm->nm", lam, edges, out=p)
-        p += v[:, 0, :]
-    return pts.reshape(-1, C.vertices.shape[1])
+    for q, lam in enumerate(pts_ref[:, 1:]):
+        np.einsum("k,akn->an", lam, edges, out=pts[:, q])
+        pts[:, q] += v[:, 0]
+    return pts.reshape(len(v), -1).T
 
 
 def _top_means(C: mesh.SimplicialComplex, family):

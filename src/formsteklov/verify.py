@@ -268,7 +268,7 @@ class Lab:
     def lambda1_level(self, spec, level) -> float:
         return self._get(
             ("lam1", spec.family, spec.params, level),
-            lambda: hodge.boundary_spectrum(self.mesh(spec, level), 8).lambda1)
+            lambda: hodge.boundary_spectrum(self.mesh(spec, level)).lambda1)
 
     # -- extrapolated quantities -------------------------------------------
 

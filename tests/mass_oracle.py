@@ -3,10 +3,11 @@
 The element products of every top are formed at once, in the same order
 as in ``feec``, the face signs are applied to a copy, and the signed
 products are summed into CSR through one COO matrix; the P1 stiffness
-takes the gradient products instead.  ``feec`` streams chunks of element
-matrices straight into the unsummed CSR arrays, in the order COO->CSR
-conversion would give them, so the mass, the stiffness and the
-normal-trace form must equal this oracle entry for entry.
+takes feec's own gradient products of every top instead.  ``feec``
+streams chunks of element matrices straight into the unsummed CSR
+arrays, in the order COO->CSR conversion would give them, so the mass,
+the stiffness and the normal-trace form must equal this oracle entry for
+entry.
 """
 
 import itertools
@@ -29,10 +30,9 @@ def stiffness(K, q):
     element matrices are those of feec's own gradient kernel, so the
     comparison checks only the scatter there; the kernel itself is checked
     against D_0^T M_1 D_0 by test_feec.test_stiffness_matches_product_oracle."""
-    vols, grads = feec.barycentric_gradients(K)
     if q == 0:
-        local = np.einsum("nia,nja->nij", grads, grads) * vols[:, None, None]
-        return _coo(K, 0, slice(None), local)
+        return _coo(K, 0, slice(None), feec._gradient_products(K, slice(None)))
+    vols, grads = feec.barycentric_gradients(K)
     D = mesh.local_coboundary(K.dim, q)
     local = _products(q + 1, grads, _lam(K.dim), vols)
     return _coo(K, q, slice(None), D.T @ local @ D)

@@ -5,9 +5,13 @@ Face tables come from ``np.unique(axis=0)`` on whole vertex rows, and rows
 are found through a Python dict of tuples.  Slow on deep meshes, exact on
 all of them.  The parity of a sort is its own (from the cycles of the
 sorting permutation), never the inversion count of the code under test.
+
+``gram_geometry`` is the oracle of the closed-form simplex geometry: the
+LAPACK Gram route that the package took before.
 """
 
 import itertools
+import math
 
 import numpy as np
 from scipy import sparse
@@ -129,3 +133,16 @@ def betti(dim, tops):
     ranks.append(0)
     return tuple(len(simplices[p]) - ranks[p + 1] - ranks[p]
                  for p in range(dim + 1))
+
+
+def gram_geometry(vertices, tops):
+    """Signed volumes and barycentric gradients of full-dimensional
+    simplices by the Gram route: det E by LU, grad(lambda_j), j >= 1, as
+    row j of E^-T = (E E^T)^-1 E, where E has the rows e_j = v_j - v_0,
+    and grad(lambda_0) = -(sum of the others).  Returns (vols (nt,),
+    grads (nt, d+1, d))."""
+    v = vertices[tops]
+    e = v[:, 1:, :] - v[:, :1, :]
+    vols = np.linalg.det(e) / math.factorial(e.shape[1])
+    g = np.linalg.inv(e @ np.swapaxes(e, 1, 2)) @ e
+    return vols, np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1)

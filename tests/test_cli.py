@@ -57,6 +57,28 @@ def test_module_entry_point_passes_the_exit_code_through(tmp_path):
     assert gen("--domain", "ellipse", "--a", "0.5", "--b", "1") == 2
 
 
+def test_verify_report_is_independent_of_blas_threads(tmp_path):
+    """CHK-HODGE and CHK-ESC read the boundary lambda1, whose last digits
+    moved between one and two OpenBLAS threads while it came from a dense
+    LAPACK eigensolve; the whole report now repeats under both."""
+    runs = []
+    for threads in ("1", "2"):
+        env = dict(_src_env(), OPENBLAS_NUM_THREADS=threads)
+        out = subprocess.run(
+            [sys.executable, "-m", "formsteklov", "--deterministic", "verify",
+             "--domain", "disk", "--checks", "CHK-HODGE,CHK-ESC",
+             "--report", f"t{threads}"], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=600)
+        assert out.returncode == 0, out.stderr
+        with open(tmp_path / f"t{threads}.json", encoding="utf-8") as f:
+            report = json.load(f)
+        assert report["config"].pop("report") == f"t{threads}"
+        tables = [(tmp_path / f"t{threads}{suffix}").read_bytes() for suffix
+                  in ("_levels.csv", "_extrapolated.csv", "_levels.svg")]
+        runs.append((out.stdout, report, tables))
+    assert runs[0] == runs[1]
+
+
 def test_gen_ball_level2(tmp_path):
     out = tmp_path / "ball2.smesh"
     rc = cli.main(["gen", "--domain", "ball", "--level", "2",
@@ -166,16 +188,18 @@ def test_spectrum_from_malformed_mesh_exits_2(tmp_path, monkeypatch, capsys,
 
 
 # an inverted top, a zero-volume top, an edge shared by three triangles,
-# two triangles sharing only a vertex, two tetrahedra sharing only an edge
+# two triangles sharing only a vertex, two tetrahedra sharing only an
+# edge, a vertex on no top
 @pytest.mark.parametrize("body", [
     "smesh 2 3 1\n0 0\n1 0\n0 1\n0 2 1\n",
     "smesh 2 3 1\n0 0\n1 0\n2 0\n0 1 2\n",
     "smesh 2 5 3\n0 0\n1 0\n0.5 1\n0.5 2\n0.5 -1\n0 1 2\n0 1 3\n1 0 4\n",
     "smesh 2 5 2\n0 0\n1 0\n1 1\n-1 0\n-1 -1\n0 1 2\n0 3 4\n",
     "smesh 3 6 2\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n0 -1 0\n0 0 -1\n"
-    "0 1 2 3\n0 1 4 5\n"],
+    "0 1 2 3\n0 1 4 5\n",
+    "smesh 2 4 1\n5 5\n0 0\n1 0\n0 1\n1 2 3\n"],
     ids=["inverted", "zero-volume", "non-manifold", "bowtie",
-         "edge-sharing-tets"])
+         "edge-sharing-tets", "stray-vertex"])
 def test_spectrum_from_bad_geometry_mesh_exits_2(tmp_path, monkeypatch,
                                                  capsys, body):
     monkeypatch.chdir(tmp_path)

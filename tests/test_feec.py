@@ -135,6 +135,27 @@ def test_p1_stiffness_builds_without_whitney_products(monkeypatch):
                     assert (S != S.T).nnz == 0
 
 
+@pytest.mark.parametrize("spec", [mesh.disk(2), mesh.ball(2)], ids=str)
+def test_scalar_path_takes_no_lapack_on_the_volume(spec, monkeypatch):
+    """The mesh, the P1 stiffness, the top volumes and the exit time take
+    the geometry of the volume's tops from the closed-form cofactor
+    kernel: they run with np.linalg.inv refused and np.linalg.det refused
+    on d x d stacks.  The boundary P1 mass of the exit-time flux keeps
+    its Gram determinants, which are (d-1) x (d-1)."""
+    det = np.linalg.det
+
+    def refuse(a):
+        raise AssertionError("LAPACK on the tops of the volume")
+
+    monkeypatch.setattr(np.linalg, "inv", refuse)
+    monkeypatch.setattr(np.linalg, "det", lambda a: (
+        refuse(a) if np.shape(a)[-1] == spec.dim else det(a)))
+    K = mesh.generate(spec)
+    assert feec.stiffness(K, 0).nnz > 0
+    assert K.top_volumes().min() > 0
+    assert scalar.mean_exit_time(K).E.max() > 0
+
+
 def test_stiffness_builds_without_global_mass_or_coboundary(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("stiffness must not form a global matrix")

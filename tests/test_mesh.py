@@ -326,6 +326,57 @@ def test_mesh_io_pinched_boundary_is_not_closed(tmp_path, lines):
         mesh.read_mesh(p)
 
 
+@pytest.mark.parametrize("first", [False, True], ids=["last", "first"])
+def test_mesh_io_vertex_on_no_top(tmp_path, first):
+    """A stray vertex is refused where it is read.  It was accepted, and
+    then listed last it made refine number the midpoints from a vertex
+    count one short (a misleading OrientationError), and listed first it
+    made the exit time fail on a numpy broadcast."""
+    K = mesh.generate(mesh.disk(1))
+    verts, tops = np.vstack([K.vertices, [[5.0, 5.0]]]), K.tops
+    if first:
+        verts, tops = np.roll(verts, 1, axis=0), tops + 1
+    p = tmp_path / "stray.smesh"
+    lines = [f"smesh 2 {len(verts)} {len(tops)}"]
+    lines += [" ".join(f"{x:.17g}" for x in v) for v in verts]
+    lines += [" ".join(str(i) for i in t) for t in tops]
+    p.write_text("\n".join(lines) + "\n")
+    stray = 0 if first else len(K.vertices)
+    with pytest.raises(MeshFormatError, match=f"vertex {stray} lies on no top"):
+        mesh.read_mesh(p)
+
+
+def _sliver():
+    """One tetrahedron spanned by two crossing unit segments 0.04 apart:
+    shape quality 6 sqrt(2) V / l_max^3 = 0.028, the worst that refine
+    reaches on the ball at level 4."""
+    V = np.array([[1.0, 0, 0], [0, 1, 0.04], [-1, 0, 0], [0, -1, 0.04]])
+    return mesh.SimplicialComplex(3, V, mesh._orient_tops(V, [[0, 1, 2, 3]]))
+
+
+@pytest.mark.parametrize("spec", LEVEL_SPECS + [None],
+                         ids=lambda s: "sliver" if s is None else _level_id(s))
+def test_closed_form_geometry_matches_gram_oracle(spec):
+    """The cofactor volumes and barycentric gradients agree with the Gram
+    route within 1e-13 relative, simplex by simplex, and the gradients
+    meet grad(lambda_i) . e_j = delta_ij (-1 for i = 0) to rounding.  The
+    top volumes are the kernel's det E / d!."""
+    K = _sliver() if spec is None else mesh.generate(spec)
+    d, vertices, tops = K.dim, K.vertices, K.tops
+    vols, grads = mesh_oracle.gram_geometry(vertices, tops)
+    det, g = mesh.simplex_gradients(vertices, tops)
+    g = np.moveaxis(g, 2, 0)                      # (nt, d+1, d)
+    assert np.array_equal(K.top_volumes(), det / math.factorial(d))
+    assert (np.abs(K.top_volumes() - vols) <= 1e-13 * np.abs(vols)).all()
+    scale = np.abs(grads).max(axis=(1, 2))[:, None, None]
+    assert (np.abs(g - grads) <= 1e-13 * scale).all()
+    e = vertices[tops[:, 1:]] - vertices[tops[:, :1]]
+    dots = np.einsum("nia,nja->nij", g, e)
+    bound = 1e-15 * (np.linalg.norm(g, axis=2)[:, :, None]
+                     * np.linalg.norm(e, axis=2)[:, None, :])
+    assert (np.abs(dots - np.vstack([-np.ones(d), np.eye(d)])) <= bound).all()
+
+
 def test_mesh_io_negative_volume(tmp_path):
     p = tmp_path / "neg.smesh"
     lines = ["smesh 3 4 1", "0 0 0", "1 0 0", "0 1 0", "0 0 1", "0 2 1 3"]
