@@ -18,8 +18,10 @@ no LAPACK call per top.  The Whitney products and the embedded
 (boundary) complexes keep the Gram route of barycentric_gradients bit for
 bit: moving them too changed the rounding-noise pivots of the Steklov
 saddle-point factors, and with them fill and a double eigenvalue found.
-Element matrices are computed and scattered one chunk of ``_CHUNK`` tops
-at a time, straight into the unsummed CSR arrays.
+Element matrices are computed one chunk of ``_CHUNK`` tops at a time,
+and one sparse product P^T (L P) sums them in top order, so each
+symmetric element matrix gives a matrix symmetric bit for bit, in 3-d
+too.
 """
 
 import itertools
@@ -107,43 +109,26 @@ def _local_products(p: int, grads, lam, measure):
 def _assemble(K: SimplicialComplex, p: int, element, tops=slice(None)):
     """Sum the element matrices ``element(chunk)`` of the top simplices
     ``K.tops[tops][chunk]``, in local combination order, onto the global
-    p-simplices, for chunks of _CHUNK rows.  The face signs (+-1, exact)
-    are applied in place, and each chunk goes straight to where COO->CSR
-    conversion puts it, so the sum is the one-pass COO assembly's."""
+    p-simplices, for chunks of _CHUNK rows: A = P^T (L P), where P is the
+    signed incidence of the (top, local face) occurrences on the faces
+    and L the block diagonal of the element matrices.  L P, one row per
+    occurrence, is filled chunk by chunk; the one product then sums each
+    entry over its tops in top order, so a symmetric element matrix gives
+    a symmetric A bit for bit.  Entries that sum to exactly 0 are
+    dropped."""
     n = K.n_simplices(p)
     gidx, gsgn = K.faces_of_top[p][tops], K.face_signs_of_top[p][tops]
     ne, nb = gidx.shape
-    m = ne * nb
-    idx = np.int32 if max(m * nb, n) < 2 ** 31 else np.int64
-    # COO->CSR conversion gives each occurrence (top, face) one row of nb
-    # entries, by a stable counting sort of the occurrences on the face;
-    # the CSR->CSC conversion of their incidence is that same sort
-    occ = sparse.csr_matrix((np.ones(m, bool), gidx.ravel(), np.arange(m + 1, dtype=idx)),
-                            shape=(m, n)).tocsc()
-    rank = np.empty(m, dtype=idx)
-    rank[occ.indices] = np.arange(m, dtype=idx)
-    # rows of nb entries move as single void items; the arrays stay plain
-    # numbers, or summing would keep every unsummed entry alive
-    irow, drow = (np.dtype((np.void, nb * np.dtype(t).itemsize)) for t in (idx, float))
-    indices, data = np.empty(m * nb, dtype=idx), np.empty(m * nb)
-    np.take(np.ascontiguousarray(gidx, dtype=idx).view(irow).ravel(),
-            occ.indices // nb, out=indices.view(irow))
+    data = np.empty((ne, nb, nb))
     for start in range(0, ne, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        local = element(chunk)
-        local *= gsgn[chunk, :, None]
-        local *= gsgn[chunk, None, :]
-        data.view(drow)[rank[nb * start:nb * (start + _CHUNK)]] = local.view(drow).ravel()
-    A = sparse.csr_matrix((data, indices, occ.indptr.astype(idx) * nb), shape=(n, n))
-    A.sum_duplicates()
-    return _owning(A)
-
-
-def _owning(A):
-    # scipy's prune keeps a view of arrays it fills at least half, and the
-    # view would keep the whole unsummed array alive
-    if A.data.base is not None:
-        A.data, A.indices = A.data.copy(), A.indices.copy()
+        data[chunk] = element(chunk)
+        data[chunk] *= gsgn[chunk, None, :]
+    LP = sparse.csr_matrix((data.ravel(), np.repeat(gidx, nb, axis=0).ravel(),
+                            np.arange(0, ne * nb * nb + 1, nb)), shape=(ne * nb, n))
+    A = sparse.csc_matrix((gsgn.ravel().astype(float), gidx.ravel(), np.arange(ne * nb + 1)),
+                          shape=(n, ne * nb)).tocsr() @ LP
+    A.sort_indices()
     return A
 
 
@@ -187,13 +172,15 @@ def mass_matrix(K: SimplicialComplex, p: int):
 def stiffness(K: SimplicialComplex, q: int):
     """Whitney q-form stiffness D_q^T M_{q+1} D_q; zero at the top degree.
 
-    Assembled element by element and scattered onto the q-simplices, so
-    no global (q+1)-form matrix is built.  At q = 0 the element matrix is
+    Assembled element by element and summed onto the q-simplices, so no
+    global (q+1)-form matrix is built.  At q = 0 the element matrix is
     vol grad(lambda_i).grad(lambda_j) (tangential gradients on an embedded
     complex): d of a P1 function is a Whitney 1-form, so this equals
     D_0^T M_1 D_0 in exact arithmetic, and it is symmetric by
     construction.  At q >= 1 the local (q+1)-form mass is pulled back
-    through the integer local coboundary, D_loc^T M_loc D_loc."""
+    through the integer local coboundary, D_loc^T M_loc D_loc, whose
+    rounding is not symmetric: the element matrix is its symmetric part
+    (X + X^T) / 2."""
     if not 0 <= q <= K.dim:
         raise ValueError(f"degree {q} out of range")
     if q == K.dim:
@@ -201,7 +188,11 @@ def stiffness(K: SimplicialComplex, q: int):
     if q == 0:
         return _assemble(K, 0, lambda chunk: _gradient_products(K, chunk))
     D = mesh.local_coboundary(K.dim, q)
-    return _assemble(K, q, lambda chunk: D.T @ _mass_products(K, q + 1, chunk) @ D)
+
+    def element(chunk):
+        X = D.T @ _mass_products(K, q + 1, chunk) @ D
+        return 0.5 * (X + X.swapaxes(1, 2))
+    return _assemble(K, q, element)
 
 
 def tangential_trace(K: SimplicialComplex, p: int):
@@ -245,7 +236,7 @@ def normal_trace_form(K: SimplicialComplex, q: int):
     if q == d:
         return F
     Tr = tangential_trace(K, q)
-    return _owning((F - Tr.T @ mass_matrix(K.boundary_complex(), q) @ Tr).tocsr())
+    return (F - Tr.T @ mass_matrix(K.boundary_complex(), q) @ Tr).tocsr().copy()
 
 
 def integrate_analytic(spec, field: FormField, what: str) -> float:

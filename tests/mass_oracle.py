@@ -1,13 +1,14 @@
-"""Test oracle: the Whitney matrices assembled in one pass.
+"""Test oracle: the Whitney matrices summed top by top in one pass.
 
 The element products of every top are formed at once, in the same order
-as in ``feec``, the face signs are applied to a copy, and the signed
-products are summed into CSR through one COO matrix; the P1 stiffness
-takes feec's own gradient products of every top instead.  ``feec``
-streams chunks of element matrices straight into the unsummed CSR
-arrays, in the order COO->CSR conversion would give them, so the mass,
-the stiffness and the normal-trace form must equal this oracle entry for
-entry.
+as in ``feec``, the face signs are applied to a copy, and every signed
+entry is added into its (row, column) slot in top order: ``np.unique``
+on the row * n + column keys numbers the slots, ``np.bincount`` adds the
+values into them in input order, and entries that sum to exactly 0 are
+dropped.  The P1 stiffness takes feec's own gradient products of every
+top instead.  ``feec`` sums the same entries in the same order through
+one sparse product P^T (L P), so the mass, the stiffness and the
+normal-trace form must equal this oracle entry for entry.
 """
 
 import itertools
@@ -26,16 +27,17 @@ def mass_matrix(K, p):
 
 def stiffness(K, q):
     """vol * grad(lambda_i) . grad(lambda_j) at q = 0, D_loc^T M_loc D_loc
-    at q >= 1, on every top, scattered onto the q-simplices.  At q = 0 the
-    element matrices are those of feec's own gradient kernel, so the
-    comparison checks only the scatter there; the kernel itself is checked
-    against D_0^T M_1 D_0 by test_feec.test_stiffness_matches_product_oracle."""
+    mirrored as in feec at q >= 1, on every top, summed onto the
+    q-simplices.  At q = 0 the element matrices are those of feec's own
+    gradient kernel, so the comparison checks only the sum there; the
+    kernel itself is checked against D_0^T M_1 D_0 by
+    test_feec.test_stiffness_matches_product_oracle."""
     if q == 0:
         return _coo(K, 0, slice(None), feec._gradient_products(K, slice(None)))
     vols, grads = feec.barycentric_gradients(K)
     D = mesh.local_coboundary(K.dim, q)
-    local = _products(q + 1, grads, _lam(K.dim), vols)
-    return _coo(K, q, slice(None), D.T @ local @ D)
+    local = D.T @ _products(q + 1, grads, _lam(K.dim), vols) @ D
+    return _coo(K, q, slice(None), 0.5 * (local + local.swapaxes(1, 2)))
 
 
 def normal_trace_form(K, q):
@@ -88,17 +90,19 @@ def _products(p, grads, lam, measure):
 
 
 def _coo(K, p, tops, local):
-    """Sum of the signed element matrices of ``K.tops[tops]`` by one COO
-    to CSR conversion."""
-    gidx = K.faces_of_top[p][tops]
+    """Sum of the signed element matrices of ``K.tops[tops]``, each entry
+    added up over its tops in top order."""
+    gidx = K.faces_of_top[p][tops].astype(np.int64)
     gsgn = K.face_signs_of_top[p][tops].astype(float)
     signed = local * gsgn[:, :, None] * gsgn[:, None, :]
     nb = gidx.shape[1]
-    rows = np.repeat(gidx, nb, axis=1).ravel()
-    cols = np.tile(gidx, (1, nb)).ravel()
     n = K.n_simplices(p)
-    return sparse.coo_matrix((signed.ravel(), (rows, cols)),
-                             shape=(n, n)).tocsr()
+    keys = (np.repeat(gidx, nb, axis=1) * n + np.tile(gidx, (1, nb))).ravel()
+    slots, slot = np.unique(keys, return_inverse=True)
+    A = sparse.csr_matrix((np.bincount(slot, signed.ravel()), (slots // n, slots % n)),
+                          shape=(n, n))
+    A.eliminate_zeros()
+    return A
 
 
 def _minor_det(g, rows, cols):

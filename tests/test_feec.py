@@ -114,11 +114,8 @@ def test_stiffness_matches_product_oracle(spec):
 
 def test_p1_stiffness_builds_without_whitney_products(monkeypatch):
     """The P1 stiffness takes the gradient kernel on the volume and the
-    boundary complex, never the Whitney edge products.  Its element
-    matrices are symmetric, so where an edge lies on at most two tops
-    (dimension 2 and below) the assembled matrix is symmetric entry for
-    entry; in 3-d the sum over the tops around an edge may round
-    differently in its two rows."""
+    boundary complex, never the Whitney edge products, and is symmetric
+    entry for entry."""
     def refuse(*args, **kwargs):
         raise AssertionError("the P1 stiffness must not form Whitney products")
 
@@ -131,8 +128,7 @@ def test_p1_stiffness_builds_without_whitney_products(monkeypatch):
             for C, ref in zip(complexes, expected):
                 S = feec.stiffness(C, 0)
                 assert S.nnz > 0 and (S != ref).nnz == 0
-                if C.dim <= 2:
-                    assert (S != S.T).nnz == 0
+                assert (S != S.T).nnz == 0
 
 
 @pytest.mark.parametrize("spec", [mesh.disk(2), mesh.ball(2)], ids=str)
@@ -173,8 +169,9 @@ def test_stiffness_builds_without_global_mass_or_coboundary(monkeypatch):
 @pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILIES
                                   for l in (0, 1, 2)], ids=_level_id)
 def test_mass_matrix_equals_one_pass_assembly(spec):
-    """The separate scatter step changes no mass entry, on the volume
-    complex and on the boundary complex, at every degree."""
+    """The sparse product P^T (L P) sums every mass entry as the
+    top-order oracle does, bit for bit, on the volume complex and on the
+    boundary complex, at every degree."""
     K = mesh.generate(spec)
     for C in (K, K.boundary_complex()):
         for p in range(C.dim + 1):
@@ -185,10 +182,10 @@ def test_mass_matrix_equals_one_pass_assembly(spec):
 @pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILIES
                                   for l in (0, 1, 2)], ids=_level_id)
 def test_stiffness_and_normal_trace_equal_one_pass_assembly(spec):
-    """The streamed scatter gives the one-pass COO assembly array for
-    array: the stiffness on the volume and the boundary complex, and the
-    normal-trace form, whose top list repeats a top with two boundary
-    faces."""
+    """The chunked product P^T (L P) gives the one-pass top-order sum
+    array for array: the stiffness on the volume and the boundary
+    complex, and the normal-trace form, whose top list repeats a top
+    with two boundary faces."""
     K = mesh.generate(spec)
     for C in (K, K.boundary_complex()):
         for q in range(C.dim):
@@ -220,9 +217,11 @@ def test_p1_stiffness_peak_stays_below_edge_mass_peak():
 
 def test_scatter_peak_per_unsummed_entry(monkeypatch):
     """On the ball at level 4 with chunks of 2048 tops, the edge mass and
-    the P1 stiffness each peak below 24 B per unsummed entry nt * nl**2
-    (28.8 and 31.0 B when the element matrices of every top, the COO rows
-    and columns and the unsummed CSR arrays were alive at once)."""
+    the P1 stiffness each peak below 24 B per unsummed entry nt * nl**2:
+    21.4 and 19.1 B with L P (8 B of values and 4 B of column per entry),
+    the signed incidence P^T and the summed product alive at once (28.8
+    and 31.0 B when the element matrices of every top, COO rows and
+    columns and unsummed CSR arrays were)."""
     monkeypatch.setattr(feec, "_CHUNK", 2048)
     K = mesh.generate(mesh.ball(4))
     nt = len(K.tops)
@@ -231,10 +230,12 @@ def test_scatter_peak_per_unsummed_entry(monkeypatch):
 
 
 def test_assembled_p1_matrices_keep_only_their_summed_arrays():
-    """Summing copies the P1 mass and stiffness out of their unsummed
-    arrays, which are several times larger, and the Whitney matrices that
-    summing leaves as views of their unsummed arrays (1.13-1.84x their own
-    bytes alive) are copied out of them, so those are freed."""
+    """The product P^T (L P) allocates its arrays at the size of the
+    pattern of the sum and keeps them when the entries that sum to exactly
+    0 leave them at least half full (1.005-1.019x the summed arrays' own
+    bytes alive here), so L P and P^T are freed; the normal-trace form
+    copies its difference out of the arrays that subtraction leaves as
+    views (1.21x)."""
     K = mesh.generate(mesh.ball(4))
     K.boundary_complex()      # built once, kept by K, not by any matrix
     for build in (lambda: feec.mass_matrix(K, 0), lambda: feec.stiffness(K, 0),
@@ -263,6 +264,18 @@ def _element_matrices(K):
         for p in range(C.dim + 1):
             out += [feec.mass_matrix(C, p), feec.stiffness(C, p)]
     return out
+
+
+@pytest.mark.parametrize("spec", [mesh.ball(3), mesh.box(1, 1, 1, 3)], ids=_level_id)
+def test_3d_matrices_are_exactly_symmetric(spec):
+    """Every element matrix is symmetric bit for bit and every entry sums
+    its tops in top order, in row i and in row j alike, so the P1 and
+    Whitney masses and stiffnesses of the volume and of its boundary, and
+    the normal-trace forms, equal their transposes entry for entry (the
+    P1 stiffness had 2866 and 638 asymmetric entries here when each row
+    was summed in the order of an unstable sort)."""
+    for A in _element_matrices(mesh.generate(spec)):
+        assert (A != A.T).nnz == 0
 
 
 @pytest.mark.parametrize("spec", [s.with_level(l) for s in FAMILIES

@@ -75,6 +75,15 @@ def test_dtn_symmetry_and_psd():
         assert r.eigenvalues[0] > -1e-8 * max(1.0, r.eigenvalues[-1])
 
 
+def test_primal_pencils_are_exactly_symmetric_in_3d():
+    """feec sums every entry over its tops in top order, in both of its
+    rows, so the 3-d primal pencils have a symmetry defect of exactly 0,
+    as the 2-d ones do."""
+    K = mesh.generate(mesh.ball(2))
+    for p in range(K.dim):
+        assert steklov.solve_primal(K, p, k=2).sym_defect == 0.0
+
+
 def test_constants_in_p0_kernel():
     K = mesh.generate(mesh.annulus(0.5, 1, 1))
     r = steklov.solve_primal(K, 0, k=4)
